@@ -3,7 +3,9 @@
 Usage:  python benchmarks/bench_kernels.py [--repeats N]
 
 The same comparison at package level: run the suite with RECHIP_NO_NUMBA=1
-to use the numpy path everywhere.
+to use the numpy path everywhere.  When the numpy path is active (the flag
+is set, or numba does not import) there is nothing to compare: the script
+says why and prints the numpy timings alone.
 """
 
 import argparse
@@ -16,68 +18,37 @@ from rechip.optics import two_photon_pairs
 from rechip.tomography import canonical_settings, projectors_of_setting
 
 
-def timeit(fn, repeats):
-    fn()  # warm (JIT compile on the numba path)
+def timeit(fn, args, calls, repeats):
+    """Best time per call of fn(*args) over `repeats` runs of `calls` calls."""
+    fn(*args)  # warm (JIT compile on the numba path)
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        n = fn()
-        best = min(best, (time.perf_counter() - t0) / n)
+        for _ in range(calls):
+            fn(*args)
+        best = min(best, (time.perf_counter() - t0) / calls)
     return best
 
 
-def bench_permanent(rng, repeats):
+def cases(rng):
+    """(label, kernel name, arguments, calls per run) of each timed kernel."""
     a = np.ascontiguousarray(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
 
-    def jit():
-        for _ in range(200):
-            kernels.permanent(a)
-        return 200
-
-    def ref():
-        for _ in range(200):
-            kernels.permanent_numpy(a)
-        return 200
-
-    return timeit(jit, repeats), timeit(ref, repeats)
-
-
-def bench_two_photon(rng, repeats):
     out_i, out_j, _ = two_photon_pairs(6)
     g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     u = np.ascontiguousarray(np.linalg.qr(g)[0])
 
-    def jit():
-        for _ in range(500):
-            kernels.two_photon_amps(u, 1, 3, out_i, out_j)
-        return 500
-
-    def ref():
-        for _ in range(500):
-            kernels.two_photon_amps_numpy(u, 1, 3, out_i, out_j)
-        return 500
-
-    return timeit(jit, repeats), timeit(ref, repeats)
-
-
-def bench_mle(rng, repeats):
     settings = canonical_settings(2)
     projs = np.ascontiguousarray(np.concatenate([projectors_of_setting(s) for s in settings]))
     counts = rng.uniform(10, 1000, projs.shape[0])
     totals = np.full(projs.shape[0], 1000.0)
     theta = rng.normal(size=16)
 
-    def jit():
-        for _ in range(300):
-            kernels.mle_nll_grad(theta, projs, counts, totals, 4, 1e-12)
-        return 300
-
-    def ref():
-        for _ in range(300):
-            kernels.mle_nll_grad_numpy(theta, projs, counts, totals, 4, 1e-12)
-        return 300
-
-    return timeit(jit, repeats), timeit(ref, repeats)
+    return [
+        ("permanent (6x6)", "permanent", (a,), 200),
+        ("two_photon_amps (6 modes)", "two_photon_amps", (u, 1, 3, out_i, out_j), 500),
+        ("mle_nll_grad (d=4, 36 proj)", "mle_nll_grad", (theta, projs, counts, totals, 4, 1e-12), 300),
+    ]
 
 
 def main():
@@ -85,18 +56,19 @@ def main():
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
 
-    rng = np.random.default_rng(0)
-    rows = [
-        ("permanent (6x6)", *bench_permanent(rng, args.repeats)),
-        ("two_photon_amps (6 modes)", *bench_two_photon(rng, args.repeats)),
-        ("mle_nll_grad (d=4, 36 proj)", *bench_mle(rng, args.repeats)),
-    ]
-
-    path = "numba" if kernels.NUMBA_ENABLED else "numpy (RECHIP_NO_NUMBA)"
-    print(f"active kernel path: {path}\n")
-    print(f"{'kernel':<30} {'active [us]':>12} {'numpy [us]':>12} {'speedup':>9}")
-    for name, t_jit, t_ref in rows:
-        print(f"{name:<30} {t_jit * 1e6:>12.2f} {t_ref * 1e6:>12.2f} {t_ref / t_jit:>8.1f}x")
+    print(f"active kernel path: {kernels.DISPATCH}\n")
+    rows = cases(np.random.default_rng(0))
+    if not kernels.NUMBA_ENABLED:
+        print(f"{'kernel':<30} {'numpy [us]':>12}")
+        for label, name, fn_args, calls in rows:
+            t_ref = timeit(getattr(kernels, name + "_numpy"), fn_args, calls, args.repeats)
+            print(f"{label:<30} {t_ref * 1e6:>12.2f}")
+        return
+    print(f"{'kernel':<30} {'numba [us]':>12} {'numpy [us]':>12} {'speedup':>9}")
+    for label, name, fn_args, calls in rows:
+        t_jit = timeit(getattr(kernels, name), fn_args, calls, args.repeats)
+        t_ref = timeit(getattr(kernels, name + "_numpy"), fn_args, calls, args.repeats)
+        print(f"{label:<30} {t_jit * 1e6:>12.2f} {t_ref * 1e6:>12.2f} {t_ref / t_jit:>8.1f}x")
 
 
 if __name__ == "__main__":

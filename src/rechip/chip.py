@@ -23,6 +23,16 @@ and the waveguide netlist reproduces its conditional coincidence statistics
 exactly (up to float roundoff), with postselection success 1/9 for every
 configuration.
 
+Batches
+-------
+The device model evaluates many configurations as one array program.  Every
+function taking a ``config`` accepts either a :class:`PhaseConfig` or an
+(N, 8) array of phases (a batch, wrapped into [0, 2*pi) like a PhaseConfig).
+A PhaseConfig is the batch of one and gets single results: a 4x4 unitary,
+float-valued :class:`CoincidenceProbs`.  A batch gets stacked results: (N, 4,
+4) unitaries, CoincidenceProbs with (N,) arrays as fields.  Each row of a
+batch result is bit-identical to the single call on that row.
+
 Netlist conventions that make the two models coincide (chosen once, then
 validated end to end by :func:`verify_cnot` and the cross-model tests):
 
@@ -42,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import align_global_phase, tensor
-from .optics import Coupler, Netlist, Phase, compose, pattern_of_pair, two_photon_pairs
+from .optics import Coupler, Netlist, Phase, compose, pattern_of_pair
 from . import kernels
 
 TWO_PI = 2.0 * np.pi
@@ -58,10 +68,11 @@ CORE_ETA = 2.0 / 3.0
 BASIS_LABELS = ("00", "01", "10", "11")
 
 
-def _wrap(phi):
+def wrap_phases(phis):
+    """Phases wrapped elementwise into [0, 2*pi)."""
+    v = np.mod(np.asarray(phis, dtype=float), TWO_PI)
     # x % 2*pi can round up to exactly 2*pi for tiny negative x
-    v = float(phi) % TWO_PI
-    return 0.0 if v >= TWO_PI else v
+    return np.where(v >= TWO_PI, 0.0, v)
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,7 @@ class PhaseConfig:
     phis: tuple
 
     def __init__(self, phis):
-        arr = tuple(_wrap(p) for p in phis)
+        arr = tuple(float(p) for p in wrap_phases(list(phis)))
         if len(arr) != 8:
             raise ValueError(f"expected 8 phases, got {len(arr)}")
         object.__setattr__(self, "phis", arr)
@@ -106,9 +117,22 @@ class PhaseConfig:
         return PhaseConfig(phis)
 
 
+def phase_batch(config):
+    """(N, 8) array of wrapped phases; a PhaseConfig is the batch of one."""
+    if isinstance(config, PhaseConfig):
+        return np.asarray(config.phis)[None, :]
+    phis = np.asarray(config, dtype=float)
+    if phis.ndim != 2 or phis.shape[1] != 8:
+        raise ValueError(f"expected a PhaseConfig or an (N, 8) phase array, got shape {phis.shape}")
+    return wrap_phases(phis)
+
+
 @dataclass(frozen=True)
 class CoincidenceProbs:
-    """Conditional coincidence probabilities plus the postselection success."""
+    """Conditional coincidence probabilities plus the postselection success.
+
+    Fields are floats for one configuration, (N,) arrays for a batch.
+    """
 
     p00: float
     p01: float
@@ -117,11 +141,22 @@ class CoincidenceProbs:
     success: float = 1.0
 
     def as_array(self):
-        return np.array([self.p00, self.p01, self.p10, self.p11])
+        """(4,) probabilities, or (N, 4) for a batch."""
+        return np.stack([self.p00, self.p01, self.p10, self.p11], axis=-1)
 
     @classmethod
     def from_array(cls, p, success=1.0):
-        return cls(float(p[0]), float(p[1]), float(p[2]), float(p[3]), float(success))
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 1:
+            return cls(float(p[0]), float(p[1]), float(p[2]), float(p[3]), float(success))
+        return cls(p[:, 0], p[:, 1], p[:, 2], p[:, 3], np.broadcast_to(success, p.shape[:1]))
+
+
+def _batch_result(config, probs, success):
+    """CoincidenceProbs over a batch; the single row for a PhaseConfig."""
+    if isinstance(config, PhaseConfig):
+        return CoincidenceProbs.from_array(probs[0], success[0])
+    return CoincidenceProbs.from_array(probs, success)
 
 
 def h_prime():
@@ -135,12 +170,20 @@ def h_prime():
 def u_prep(phi_y, phi_z):
     """Preparation rotation exp(-i phi_z sigma_z / 2) exp(-i phi_y sigma_y / 2).
 
-    The measurement stage applies its conjugate transpose.
+    The measurement stage applies its conjugate transpose.  Array angles of
+    shape (N,) give the (N, 2, 2) stack.
     """
-    c, s = np.cos(phi_y / 2.0), np.sin(phi_y / 2.0)
-    ry = np.array([[c, -s], [s, c]], dtype=complex)
-    rz = np.diag([np.exp(-0.5j * phi_z), np.exp(0.5j * phi_z)])
+    half = np.asarray(phi_y) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    ry = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2).astype(complex)
+    rz = np.zeros_like(ry)
+    rz[..., 0, 0] = np.exp(-0.5j * np.asarray(phi_z))
+    rz[..., 1, 1] = np.exp(0.5j * np.asarray(phi_z))
     return rz @ ry
+
+
+def _dagger(u):
+    return u.conj().swapaxes(-1, -2)
 
 
 def u_cnot():
@@ -157,20 +200,22 @@ def u_cnot():
 
 
 def two_qubit_unitary(config):
-    """Gate-level 4x4 unitary of the full circuit at the given phases."""
-    p = config.phis
+    """Gate-level 4x4 unitary of the full circuit at the given phases (N x 4 x 4 for a batch)."""
+    p = phase_batch(config).T
     ui = tensor(u_prep(p[0], p[1]), u_prep(p[2], p[3]))
-    uf = tensor(u_prep(p[4], p[5]).conj().T, u_prep(p[6], p[7]).conj().T)
-    return uf @ u_cnot() @ ui
+    uf = tensor(_dagger(u_prep(p[4], p[5])), _dagger(u_prep(p[6], p[7])))
+    u = uf @ u_cnot() @ ui
+    return u[0] if isinstance(config, PhaseConfig) else u
 
 
 def default_netlist(config):
     """The six-mode waveguide netlist at the given phase configuration.
 
     The element layout is constant; only the eight variable phase values
-    change between configurations.
+    change between configurations.  For a batch each phase value is the
+    (N,) array of that phase over the batch.
     """
-    p = config.phis
+    p = config.phis if isinstance(config, PhaseConfig) else phase_batch(config).T
     half = 0.5
     a0, a1 = QUBIT_A_RAILS
     b0, b1 = QUBIT_B_RAILS
@@ -194,31 +239,34 @@ def default_netlist(config):
     return Netlist(modes=MODES, elements=elements)
 
 
+def transfer_matrices(config):
+    """(N, 6, 6) transfer matrices of the default netlist; (1, 6, 6) for a PhaseConfig."""
+    return compose(default_netlist(phase_batch(config)))
+
+
 def input_modes(basis_index):
     """Occupied input modes (one photon per qubit) for a computational basis state."""
     a_bit, b_bit = divmod(basis_index, 2)
     return QUBIT_A_RAILS[a_bit], QUBIT_B_RAILS[b_bit]
 
 
+# mode pairs (out_i, out_j) of the four accepted patterns, in basis order
+COINCIDENCE_PAIRS = tuple(np.array(modes) for modes in zip(*(input_modes(k) for k in range(4))))
+
+
 def coincidence_patterns():
     """The four accepted occupation patterns, in basis order 00, 01, 10, 11."""
-    pats = []
-    for idx in range(4):
-        a, b = input_modes(idx)
-        pats.append(pattern_of_pair(a, b, MODES))
-    return tuple(pats)
+    return tuple(pattern_of_pair(a, b, MODES) for a, b in zip(*COINCIDENCE_PAIRS))
 
 
 def _postselected_block(u):
     """4x4 matrix of postselected two-photon amplitudes of a 6-mode transfer matrix."""
     u = np.ascontiguousarray(u, dtype=complex)
-    out_i, out_j, index = two_photon_pairs(MODES)
+    out_i, out_j = COINCIDENCE_PAIRS
     block = np.empty((4, 4), dtype=complex)
-    coin = [index[input_modes(k)] for k in range(4)]
     for col in range(4):
         a, b = input_modes(col)
-        amps = kernels.two_photon_amps(u, a, b, out_i, out_j)
-        block[:, col] = amps[coin]
+        block[:, col] = kernels.two_photon_amps(u, a, b, out_i, out_j)
     return block
 
 
@@ -262,48 +310,44 @@ def _basis_index(state):
     return idx
 
 
-def coincidence_probs(config, input_state="00", model="gate"):
+def _postselected(config, mass):
+    """Condition (N, 4) coincidence probabilities on their sum, the postselection success."""
+    success = mass.sum(axis=-1)
+    return _batch_result(config, mass / success[:, None], success)
+
+
+def coincidence_probs(config, input_state="00", model="gate", transfer=None):
     """Conditional coincidence probabilities for a computational-basis input.
 
     model="gate" evaluates |<k|U|psi>|^2 with success 1 (lossless algebra);
     model="waveguide" runs the two-photon netlist simulation and postselects
     on the coincidence patterns.  Both give the same conditional
-    distribution; the waveguide success is 1/9.
+    distribution; the waveguide success is 1/9.  ``transfer`` passes the
+    batch's transfer matrices when the caller already has them.
     """
     idx = _basis_index(input_state)
     if model == "gate":
-        psi = two_qubit_unitary(config)[:, idx]
+        psi = two_qubit_unitary(phase_batch(config))[:, :, idx]
         p = np.abs(psi) ** 2
-        return CoincidenceProbs.from_array(p / p.sum(), 1.0)
+        return _batch_result(config, p / p.sum(axis=-1, keepdims=True), np.ones(len(p)))
     if model == "waveguide":
-        u = compose(default_netlist(config))
-        out_i, out_j, index = two_photon_pairs(MODES)
+        u = transfer_matrices(config) if transfer is None else transfer
         a, b = input_modes(idx)
-        amps = kernels.two_photon_amps(np.ascontiguousarray(u), a, b, out_i, out_j)
-        probs = np.abs(amps) ** 2
-        coin = [index[input_modes(k)] for k in range(4)]
-        mass = probs[coin]
-        success = mass.sum()
-        return CoincidenceProbs.from_array(mass / success, success)
+        amps = kernels.two_photon_amps(u, a, b, *COINCIDENCE_PAIRS)
+        return _postselected(config, np.abs(amps) ** 2)
     raise ValueError(f"model must be 'gate' or 'waveguide', got {model!r}")
 
 
-def distinguishable_coincidence_probs(config, input_state="00"):
+def distinguishable_coincidence_probs(config, input_state="00", transfer=None):
     """Waveguide-model coincidence statistics for distinguishable photons.
 
     The classical counterpart of coincidence_probs(..., model="waveguide"),
     used by the noise layer to blend in imperfect photon indistinguishability.
     """
     idx = _basis_index(input_state)
-    u = compose(default_netlist(config))
-    pu = np.ascontiguousarray(np.abs(u) ** 2)
-    out_i, out_j, index = two_photon_pairs(MODES)
+    u = transfer_matrices(config) if transfer is None else transfer
     a, b = input_modes(idx)
-    probs = kernels.distinguishable_probs(pu, a, b, out_i, out_j)
-    coin = [index[input_modes(k)] for k in range(4)]
-    mass = probs[coin]
-    success = mass.sum()
-    return CoincidenceProbs.from_array(mass / success, success)
+    return _postselected(config, kernels.distinguishable_probs(np.abs(u) ** 2, a, b, *COINCIDENCE_PAIRS))
 
 
 def config_to_json(config):

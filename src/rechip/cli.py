@@ -6,7 +6,8 @@ produce byte-identical outputs regardless of --jobs.  A JSON summary is
 always printed on stdout; --output writes the full report.
 
 Exit codes: 0 success, 1 missing/invalid input file, 2 validation failure
-(bad arguments or a failed device check).
+(bad arguments or a failed device check).  A rejected argument value gets a
+one-line diagnostic on stderr.
 """
 
 import argparse
@@ -23,6 +24,8 @@ SCHEMA = 1
 
 
 def _noise_from_args(args):
+    if not args.pairs > 0:
+        raise ValueError(f"--pairs must be positive, got {args.pairs}")
     if getattr(args, "exact", False):
         # probability-level run of the ideal device
         return noise.NoiseModel(
@@ -322,7 +325,11 @@ def main(argv=None):
     parser = build_parser()
     _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
-    return _HANDLERS[args.command](args, parser)
+    try:
+        return _HANDLERS[args.command](args, parser)
+    except ValueError as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,6 +4,12 @@ Each driver accepts a NoiseModel and a ``numpy.random.Generator`` (or runs
 exactly, probability-level, when the generator is omitted).  Sweeps spawn
 one child generator per task, so results are bit-identical regardless of
 how many workers execute them.
+
+The device model runs once per batch: a driver draws each configuration's
+random numbers from its own child generator, in the order configuration,
+phase jitter, counts, and evaluates its configurations as one array program
+in between, chunk by contiguous chunk (``jobs`` chunks, more for large
+sweeps).
 """
 
 import csv
@@ -20,6 +26,7 @@ from .chip import (
     PhaseConfig,
     coincidence_probs,
     distinguishable_coincidence_probs,
+    transfer_matrices,
     two_qubit_unitary,
 )
 from .noise import (
@@ -27,6 +34,7 @@ from .noise import (
     NoiseModel,
     SpectralModel,
     apply_phase_noise,
+    expected_counts,
     hom_dip_curve,
     hom_visibility,
     mix_statistics,
@@ -54,6 +62,21 @@ def _run_indexed(fn, n, jobs):
         return [fn(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, range(n)))
+
+
+_MAX_CHUNK = 256  # items per batch: bounds the device model's memory on large sweeps
+
+
+def _run_chunked(fn, n, jobs):
+    """fn(lo, hi) over contiguous chunks of range(n), joined along the last axis.
+
+    There are `jobs` chunks, or more where a chunk would exceed _MAX_CHUNK items.
+    """
+    jobs = max(1, min(jobs or 1, n))
+    chunks = max(jobs, -(-n // _MAX_CHUNK))
+    bounds = [n * k // chunks for k in range(chunks + 1)]
+    parts = _run_indexed(lambda k: fn(bounds[k], bounds[k + 1]), chunks, jobs)
+    return np.concatenate(parts, axis=-1)
 
 
 def _spawn(rng, n):
@@ -108,24 +131,27 @@ def device_probs(config, noise, rng, input_state="00"):
 
     Applies per-setting phase jitter (when an rng is given), runs the
     two-photon waveguide model and blends in the distinguishable-photon
-    statistics with weight 1 - v.
+    statistics with weight 1 - v.  For an (N, 8) batch of configurations,
+    rng is None or a sequence of N generators, one per row; the netlist is
+    composed once for the whole batch and feeds both photon models.
     """
     if rng is not None and noise.phase_sigma > 0:
         config = apply_phase_noise(config, noise.phase_sigma, rng)
-    probs = coincidence_probs(config, input_state, model="waveguide")
+    u = transfer_matrices(config)
+    probs = coincidence_probs(config, input_state, model="waveguide", transfer=u)
     v = noise.indistinguishability
     if v < 1.0:
-        classical = distinguishable_coincidence_probs(config, input_state)
+        classical = distinguishable_coincidence_probs(config, input_state, transfer=u)
         probs = mix_statistics(probs, classical, v)
     return probs
 
 
-def _outcome_counts(p, noise, rng):
-    """Expected or Poisson-sampled counts for an outcome-probability vector."""
-    lam = noise.mean_pairs * (np.asarray(p, dtype=float) + noise.accidental_fraction / len(p))
-    if rng is None:
+def _outcome_counts(p, noise, rngs):
+    """Expected counts for (N, outcomes) probabilities, or Poisson draws with row k from rngs[k]."""
+    lam = expected_counts(p, noise)
+    if rngs is None:
         return lam
-    return rng.poisson(lam).astype(float)
+    return np.array([g.poisson(row) for g, row in zip(rngs, lam)], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -169,23 +195,26 @@ def random_config_benchmark(n=995, noise=None, rng=None, exact=False, jobs=1):
     only the deterministic parts of the noise model; a noiseless model then
     gives fidelity 1 up to roundoff.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     noise = noise if noise is not None else NoiseModel.noiseless()
-    children = _spawn(rng, n)
+    children = None if rng is None else rng.spawn(n)
 
-    def one(i):
-        child = children[i]
-        cfg_rng = child if child is not None else np.random.default_rng(i)
-        config = PhaseConfig(cfg_rng.uniform(0.0, TWO_PI, 8))
-        theory = coincidence_probs(config, "00", model="gate")
-        sim_rng = None if exact else child
-        probs = device_probs(config, noise, sim_rng)
-        counts = _outcome_counts(probs.as_array(), noise, sim_rng)
-        total = counts.sum()
-        if total <= 0:
-            return 0.0
-        return statistical_fidelity(counts / total, theory)
+    def chunk(lo, hi):
+        if children is None:
+            cfg_rngs = [np.random.default_rng(i) for i in range(lo, hi)]
+        else:
+            cfg_rngs = children[lo:hi]
+        configs = np.array([g.uniform(0.0, TWO_PI, 8) for g in cfg_rngs])
+        theory = coincidence_probs(configs, "00", model="gate")
+        sim_rngs = None if exact or children is None else cfg_rngs
+        probs = device_probs(configs, noise, sim_rngs)
+        counts = _outcome_counts(probs.as_array(), noise, sim_rngs)
+        total = counts.sum(axis=-1)
+        fidelity = statistical_fidelity(counts / np.where(total > 0, total, 1.0)[:, None], theory)
+        return np.where(total > 0, fidelity, 0.0)
 
-    return BenchmarkReport(np.array(_run_indexed(one, n, jobs)))
+    return BenchmarkReport(_run_chunked(chunk, n, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -238,32 +267,29 @@ class SuiteReport:
         return doc
 
 
-def _measurement_config(prep, setting):
-    """Full device configuration realising an analysis setting on a prepared state."""
+def _measurement_phases(prep, setting):
+    """Device phases realising an analysis setting on a prepared state."""
     phis = list(prep.phis[:4]) + [0.0, 0.0, 0.0, 0.0]
     phis[4], phis[5] = setting.angles[0]
     if setting.qubits == 2:
         phis[6], phis[7] = setting.angles[1]
-    return PhaseConfig(phis)
+    return phis
 
 
 def tomography_records(prep, noise, rng, qubits=2):
     """Simulated count records over the canonical settings for a prepared state.
 
     Single-qubit tomography analyses qubit A (its own measurement stage) and
-    marginalises over qubit B's outcome.
+    marginalises over qubit B's outcome.  All settings run as one batch.
     """
     settings = canonical_settings(qubits)
-    children = _spawn(rng, len(settings))
-    records = []
-    for setting, child in zip(settings, children):
-        config = _measurement_config(prep, setting)
-        probs = device_probs(config, noise, child).as_array()
-        if qubits == 1:
-            probs = np.array([probs[0] + probs[1], probs[2] + probs[3]])
-        counts = _outcome_counts(probs, noise, child)
-        records.append(CountRecord.from_counts(setting.label, counts))
-    return settings, records
+    children = None if rng is None else rng.spawn(len(settings))
+    configs = np.array([_measurement_phases(prep, s) for s in settings])
+    probs = device_probs(configs, noise, children).as_array()
+    if qubits == 1:
+        probs = np.stack([probs[:, 0] + probs[:, 1], probs[:, 2] + probs[:, 3]], axis=-1)
+    counts = _outcome_counts(probs, noise, children)
+    return settings, [CountRecord.from_counts(s.label, c) for s, c in zip(settings, counts)]
 
 
 def _reconstruct_fidelity(settings, records, target):
@@ -345,21 +371,52 @@ def chsh_prep_config(alpha):
     return PhaseConfig([np.pi - alpha, np.pi / 2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
-def _chsh_config(alpha, alice_dial, bob_dial):
+_CHSH_SETTINGS = ((0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, -1.0))  # Alice, Bob, sign
+
+
+def _chsh_phases(alphas, betas):
+    """(4K, 8) device phases of the four settings at each point (alphas[k], betas[k])."""
+    alphas, betas = np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
     # Measurement-stage internal angles sit at pi/2 so the external phases
     # rotate the analysis axis around the equator.  Bob's analyzer azimuth
     # runs opposite to his dial (mirror-image stage), hence the sign.
-    return PhaseConfig(
-        [np.pi - alpha, np.pi / 2, 0.0, 0.0, np.pi / 2, alice_dial, np.pi / 2, -bob_dial]
-    )
+    phis = np.tile([0.0, np.pi / 2, 0.0, 0.0, np.pi / 2, 0.0, np.pi / 2, 0.0], (len(alphas), 4, 1))
+    phis[:, :, 0] = (np.pi - alphas)[:, None]
+    for k, (i, j, _) in enumerate(_CHSH_SETTINGS):
+        phis[:, k, 5] = ALICE_DIALS[i]
+        phis[:, k, 7] = -(betas if j == 0 else betas + np.pi / 2)
+    return phis.reshape(-1, 8)
 
 
-def _correlator(counts):
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts / total
-    return float(p[0] - p[1] - p[2] + p[3])
+def _chsh_of_counts(counts):
+    """S from (..., 4 settings, 4 outcomes) counts or probabilities."""
+    total = counts.sum(axis=-1)
+    p = counts / np.where(total > 0, total, 1.0)[..., None]
+    corr = np.where(total > 0, p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3], 0.0)
+    s = 0.0
+    for k, (_, _, sign) in enumerate(_CHSH_SETTINGS):
+        s = s + sign * corr[..., k]
+    return s
+
+
+def _chsh_points(alphas, betas, noise, rngs, mc_trials):
+    """S and its resampled std at points (alphas[k], betas[k]) as one batch of 4 settings each.
+
+    rngs is None (exact) or one generator per point; a point's four settings
+    draw from children spawned off it, its resamples from the generator itself.
+    """
+    configs = _chsh_phases(alphas, betas)
+    children = None if rngs is None else [c for g in rngs for c in g.spawn(4)]
+    probs = device_probs(configs, noise, children).as_array()
+    if rngs is not None:
+        probs = _outcome_counts(probs, noise, children)
+    counts = probs.reshape(len(alphas), 4, 4)
+    s = _chsh_of_counts(counts)
+    if mc_trials < 2 or rngs is None:
+        return s, np.zeros_like(s)
+    resampled = [g.poisson(np.broadcast_to(c, (mc_trials, 4, 4))).astype(float)
+                 for g, c in zip(rngs, counts)]
+    return s, np.array([np.std(_chsh_of_counts(r), ddof=1) for r in resampled])
 
 
 def chsh_sum(alpha, beta, noise=None, rng=None, mc_trials=0):
@@ -370,26 +427,10 @@ def chsh_sum(alpha, beta, noise=None, rng=None, mc_trials=0):
     Poisson-sampled.  Returns S, or (S, std) when mc_trials >= 2.
     """
     noise = noise if noise is not None else NoiseModel.noiseless()
-    signs = ((0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, -1.0))
-    bob_dials = (beta, beta + np.pi / 2)
-    children = _spawn(rng, 4)
-    records = []
-    s = 0.0
-    for (i, j, sign), child in zip(signs, children):
-        config = _chsh_config(alpha, ALICE_DIALS[i], bob_dials[j])
-        probs = device_probs(config, noise, child)
-        if rng is None:
-            counts = probs.as_array()
-        else:
-            counts = _outcome_counts(probs.as_array(), noise, child)
-        records.append((sign, counts))
-        s += sign * _correlator(counts)
+    s, std = _chsh_points([alpha], [beta], noise, None if rng is None else [rng], mc_trials)
     if mc_trials < 2 or rng is None:
-        return s
-    trials = np.empty(mc_trials)
-    for t in range(mc_trials):
-        trials[t] = sum(sign * _correlator(rng.poisson(c).astype(float)) for sign, c in records)
-    return s, float(np.std(trials, ddof=1))
+        return float(s[0])
+    return float(s[0]), float(std[0])
 
 
 @dataclass
@@ -424,25 +465,20 @@ class ManifoldGrid:
 
 def chsh_manifold(step=DEFAULT_MANIFOLD_STEP, noise=None, rng=None, mc_trials=0, jobs=1):
     """S(alpha, beta) on a closed grid over [0, 2*pi] x [0, 2*pi]."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
     noise = noise if noise is not None else NoiseModel.noiseless()
     npts = int(np.floor(TWO_PI / step + 1e-9)) + 1
     axis = np.arange(npts) * step
-    children = _spawn(rng, npts * npts)
-    s = np.zeros((npts, npts))
-    std = np.zeros((npts, npts))
+    rows, cols = np.divmod(np.arange(npts * npts), npts)
+    children = None if rng is None else rng.spawn(npts * npts)
 
-    def one(k):
-        i, j = divmod(k, npts)
-        out = chsh_sum(axis[i], axis[j], noise, children[k], mc_trials=mc_trials)
-        return out if isinstance(out, tuple) else (out, 0.0)
+    def chunk(lo, hi):
+        rngs = None if children is None else children[lo:hi]
+        return np.array(_chsh_points(axis[rows[lo:hi]], axis[cols[lo:hi]], noise, rngs, mc_trials))
 
-    for k, (val, err) in enumerate(_run_indexed(one, npts * npts, jobs)):
-        i, j = divmod(k, npts)
-        s[i, j] = val
-        std[i, j] = err
-    return ManifoldGrid(axis, axis.copy(), s, std)
+    s, std = _run_chunked(chunk, npts * npts, jobs)
+    return ManifoldGrid(axis, axis.copy(), s.reshape(npts, npts), std.reshape(npts, npts))
 
 
 def chsh_extrema(grid=None):

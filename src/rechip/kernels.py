@@ -8,7 +8,12 @@ Every kernel has two interchangeable implementations:
 Set the environment variable ``RECHIP_NO_NUMBA=1`` before import to select
 the numpy path for everything (useful for debugging and on platforms where
 numba is unavailable; the package also falls back automatically if the
-numba import fails).  ``benchmarks/bench_kernels.py`` times both paths.
+numba import fails).  ``DISPATCH`` names the active path and why it was
+chosen.  ``benchmarks/bench_kernels.py`` times both paths.
+
+The two-photon kernels also take a stack of transfer matrices (a leading
+batch axis); a stack always runs the numpy form, whose rows are bit-identical
+to its single-matrix calls.
 
 All kernels are pure functions of ndarray inputs; random sampling never
 happens here, so results are identical (up to floating-point association)
@@ -24,12 +29,15 @@ import numpy as np
 _DISABLED = os.environ.get("RECHIP_NO_NUMBA", "").strip().lower() not in ("", "0", "false")
 
 NUMBA_ENABLED = False
+DISPATCH = "numpy (RECHIP_NO_NUMBA is set)"
 if not _DISABLED:
     try:
         from numba import njit as _njit
 
         NUMBA_ENABLED = True
+        DISPATCH = "numba"
     except ImportError:  # pragma: no cover - exercised only without numba
+        DISPATCH = "numpy (numba is not importable)"
         warnings.warn("numba is not importable; using the pure-numpy kernels", stacklevel=2)
 
 
@@ -93,9 +101,10 @@ def permanent_numpy(a):
 # ---------------------------------------------------------------------------
 # two-photon transition amplitudes / distinguishable routing
 # ---------------------------------------------------------------------------
-# Inputs: transfer matrix u (modes x modes), the two occupied input modes
-# (a, b) with a <= b, and the pattern arrays out_i/out_j listing every
-# two-photon output pattern as an ordered mode pair (i <= j).
+# Inputs: transfer matrix u (modes x modes, or a (..., modes, modes) stack
+# for the numpy forms), the two occupied input modes (a, b) with a <= b, and
+# the pattern arrays out_i/out_j listing every two-photon output pattern as
+# an ordered mode pair (i <= j).  Results have shape (..., patterns).
 
 def _two_photon_amps_loops(u, a, b, out_i, out_j):
     npat = out_i.shape[0]
@@ -113,7 +122,7 @@ def _two_photon_amps_loops(u, a, b, out_i, out_j):
 def two_photon_amps_numpy(u, a, b, out_i, out_j):
     fin = 2.0 if a == b else 1.0
     fout = np.where(out_i == out_j, 2.0, 1.0)
-    amp = u[out_i, a] * u[out_j, b] + u[out_i, b] * u[out_j, a]
+    amp = u[..., out_i, a] * u[..., out_j, b] + u[..., out_i, b] * u[..., out_j, a]
     return amp / np.sqrt(fin * fout)
 
 
@@ -132,7 +141,7 @@ def _distinguishable_probs_loops(pu, a, b, out_i, out_j):
 
 def distinguishable_probs_numpy(pu, a, b, out_i, out_j):
     same = out_i == out_j
-    p = pu[out_i, a] * pu[out_j, b] + pu[out_i, b] * pu[out_j, a]
+    p = pu[..., out_i, a] * pu[..., out_j, b] + pu[..., out_i, b] * pu[..., out_j, a]
     return np.where(same, p / 2.0, p)
 
 
@@ -260,10 +269,21 @@ def mle_nll_grad_numpy(theta, projs, counts, totals, dim, floor):
 # dispatch
 # ---------------------------------------------------------------------------
 
+def _single_matrix(loops, batched):
+    # the compiled loop form takes one matrix; a stack runs the numpy form
+    def kernel(u, a, b, out_i, out_j):
+        if u.ndim == 2:
+            return loops(u, a, b, out_i, out_j)
+        return batched(u, a, b, out_i, out_j)
+
+    return kernel
+
+
 if NUMBA_ENABLED:
     permanent = _njit(cache=True)(_permanent_loops)
-    two_photon_amps = _njit(cache=True)(_two_photon_amps_loops)
-    distinguishable_probs = _njit(cache=True)(_distinguishable_probs_loops)
+    two_photon_amps = _single_matrix(_njit(cache=True)(_two_photon_amps_loops), two_photon_amps_numpy)
+    distinguishable_probs = _single_matrix(
+        _njit(cache=True)(_distinguishable_probs_loops), distinguishable_probs_numpy)
     _mle_jit = _njit(cache=True)(_mle_nll_grad_loops)
 
     def mle_nll_grad(theta, projs, counts, totals, dim, floor):

@@ -7,11 +7,12 @@ not depend on scheduling.
 """
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chip import CoincidenceProbs, PhaseConfig
+from .chip import CoincidenceProbs, PhaseConfig, phase_batch, wrap_phases
 
 SPEED_OF_LIGHT_NM_PER_FS = 299.792458
 
@@ -34,6 +35,8 @@ class NoiseModel:
         over the outcomes.
     mean_pairs
         Expected total coincidence events per measurement setting.
+
+    Every field must be finite.
     """
 
     phase_sigma: float = DEFAULT_PHASE_SIGMA
@@ -42,12 +45,17 @@ class NoiseModel:
     mean_pairs: float = DEFAULT_MEAN_PAIRS
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not 0.0 <= self.indistinguishability <= 1.0:
             raise ValueError("indistinguishability must lie in [0, 1]")
         if self.phase_sigma < 0.0:
             raise ValueError("phase_sigma must be non-negative")
         if self.accidental_fraction < 0.0:
             raise ValueError("accidental_fraction must be non-negative")
+        if self.mean_pairs < 0.0:
+            raise ValueError("mean_pairs must be non-negative")
 
     @classmethod
     def noiseless(cls):
@@ -103,16 +111,23 @@ class SpectralModel:
 
 
 def apply_phase_noise(config, sigma, rng):
-    """Each phase independently perturbed by N(0, sigma^2), rewrapped to [0, 2*pi)."""
-    if sigma < 0:
+    """Each phase independently perturbed by N(0, sigma^2), rewrapped to [0, 2*pi).
+
+    For an (N, 8) batch, rng is a sequence of N generators and row k draws
+    its eight errors from rng[k], so a row's draws do not depend on the batch.
+    """
+    if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
         return config
-    return PhaseConfig(config.as_array() + rng.normal(0.0, sigma, size=8))
+    single = isinstance(config, PhaseConfig)
+    errors = np.array([g.normal(0.0, sigma, size=8) for g in ([rng] if single else rng)])
+    noisy = wrap_phases(phase_batch(config) + errors)
+    return PhaseConfig(noisy[0]) if single else noisy
 
 
 def mix_statistics(quantum, classical, v):
-    """Convex combination v * quantum + (1 - v) * classical, componentwise."""
+    """Convex combination v * quantum + (1 - v) * classical, componentwise (rowwise for a batch)."""
     if not 0.0 <= v <= 1.0:
         raise ValueError("v must lie in [0, 1]")
     p = v * quantum.as_array() + (1.0 - v) * classical.as_array()
@@ -121,9 +136,13 @@ def mix_statistics(quantum, classical, v):
 
 
 def expected_counts(probs, model):
-    """Expectation values of the per-outcome counts (accidentals included)."""
-    p = probs.as_array()
-    return model.mean_pairs * (p + model.accidental_fraction / p.size)
+    """Expectation values of the per-outcome counts (accidentals included).
+
+    probs is CoincidenceProbs or an array of outcome probabilities; (N, k)
+    rows give (N, k) expectations.
+    """
+    p = probs.as_array() if hasattr(probs, "as_array") else np.asarray(probs, dtype=float)
+    return model.mean_pairs * (p + model.accidental_fraction / p.shape[-1])
 
 
 def sample_counts(probs, model, rng, setting=""):

@@ -14,8 +14,16 @@ EIGENVALUE_CLAMP = 1e-10
 
 
 def tensor(a, b):
-    """Kronecker product; row index convention (i_a * b.rows + i_b)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product; row index convention (i_a * b.rows + i_b).
+
+    Axes before the last two are batch axes: stacks of matrices give the
+    stack of their products.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (rows, cols))
 
 
 def permanent(a):

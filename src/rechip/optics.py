@@ -84,18 +84,28 @@ def element_matrix(e, modes):
 
 
 def compose(netlist):
-    """Transfer matrix of the whole netlist (identity for an empty one)."""
-    u = np.eye(netlist.modes, dtype=complex)
+    """Transfer matrix of the whole netlist (identity for an empty one).
+
+    Phase values may be arrays of one shape, say (N,): the netlist then
+    stands for N configurations of one layout, and the result is the
+    (N, modes, modes) stack, each element applied once across the batch.
+    """
+    m = netlist.modes
+    arrays = [e.phi for e in netlist.elements if isinstance(e, Phase) and isinstance(e.phi, np.ndarray)]
+    batch = arrays[0].shape if arrays else ()
+    # w[i] holds row i of every matrix in the batch; rows[i] is it flattened
+    w = np.zeros((m,) + batch + (m,), dtype=complex)
+    w[np.arange(m), ..., np.arange(m)] = 1.0
+    rows = w.reshape(m, -1)
     for e in netlist.elements:
         if isinstance(e, Coupler):
             t = np.sqrt(1.0 - e.eta)
             r = 1j * np.sqrt(e.eta)
-            ri, rj = u[e.i].copy(), u[e.j].copy()
-            u[e.i] = t * ri + r * rj
-            u[e.j] = r * ri + t * rj
+            ri, rj = rows[e.i], rows[e.j]
+            rows[e.i], rows[e.j] = t * ri + r * rj, r * ri + t * rj
         else:
-            u[e.i] = u[e.i] * np.exp(1j * e.phi)
-    return u
+            w[e.i] = w[e.i] * np.exp(1j * np.asarray(e.phi))[..., None]
+    return np.moveaxis(w, 0, -2)
 
 
 @lru_cache(maxsize=8)

@@ -174,10 +174,14 @@ def simulate_counts(settings, rho, pairs_per_setting):
 
 
 def statistical_fidelity(p, q):
-    """Bhattacharyya overlap sum_k sqrt(p_k q_k) of two probability vectors."""
+    """Bhattacharyya overlap sum_k sqrt(p_k q_k) of two probability vectors.
+
+    (N, k) inputs (or batched CoincidenceProbs) give the (N,) overlaps row by row.
+    """
     p = p.as_array() if hasattr(p, "as_array") else np.asarray(p, dtype=float)
     q = q.as_array() if hasattr(q, "as_array") else np.asarray(q, dtype=float)
-    return float(np.sqrt(np.clip(p, 0, None) * np.clip(q, 0, None)).sum())
+    f = np.sqrt(np.clip(p, 0, None) * np.clip(q, 0, None)).sum(axis=-1)
+    return float(f) if f.ndim == 0 else f
 
 
 def quantum_fidelity(rho, sigma):

@@ -211,3 +211,49 @@ class TestCoincidenceProbs:
             coincidence_probs(PhaseConfig.zeros(), "21")
         with pytest.raises(ValueError):
             coincidence_probs(PhaseConfig.zeros(), "00", model="classical")
+
+
+class TestBatch:
+    """A batch of configurations gives, row by row, the single-configuration results bit for bit."""
+
+    @staticmethod
+    def phases():
+        return np.random.default_rng(64).uniform(-1.0, TWO_PI + 1.0, (64, 8))
+
+    def test_transfer_matrices_equal_compose(self):
+        from rechip.chip import transfer_matrices
+        from rechip.optics import compose
+
+        phis = self.phases()
+        single = np.array([compose(default_netlist(PhaseConfig(p))) for p in phis])
+        assert np.array_equal(transfer_matrices(phis), single)
+
+    def test_unitaries_equal(self):
+        phis = self.phases()
+        single = np.array([two_qubit_unitary(PhaseConfig(p)) for p in phis])
+        assert np.array_equal(two_qubit_unitary(phis), single)
+
+    @pytest.mark.parametrize("state", ["00", "01", "10", "11"])
+    def test_probabilities_equal(self, state):
+        phis = self.phases()
+        models = {
+            "gate": lambda c: coincidence_probs(c, state, model="gate"),
+            "waveguide": lambda c: coincidence_probs(c, state, model="waveguide"),
+            "distinguishable": lambda c: distinguishable_coincidence_probs(c, state),
+        }
+        for name, fn in models.items():
+            batch = fn(phis)
+            rows = [fn(PhaseConfig(p)) for p in phis]
+            assert np.array_equal(batch.as_array(), np.array([r.as_array() for r in rows])), name
+            assert np.array_equal(batch.success, np.array([r.success for r in rows])), name
+
+    def test_single_config_gets_floats(self):
+        p = coincidence_probs(PhaseConfig.zeros(), "00", model="waveguide")
+        assert all(isinstance(v, float) for v in (p.p00, p.p01, p.p10, p.p11, p.success))
+        assert two_qubit_unitary(PhaseConfig.zeros()).shape == (4, 4)
+
+    def test_batch_shape_checked(self):
+        with pytest.raises(ValueError):
+            coincidence_probs(np.zeros((3, 7)), "00", model="gate")
+        with pytest.raises(ValueError):
+            two_qubit_unitary(np.zeros(8))

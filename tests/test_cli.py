@@ -79,6 +79,32 @@ class TestSeedRequirement:
         assert json.loads(out)["mean"] > 0.999
 
 
+class TestArgumentValidation:
+    """Rejected values exit 2 with one line on stderr, never a traceback or NaN."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["benchmark-random", "--n", "0", "--seed", "1"],
+            ["benchmark-random", "--n", "4", "--seed", "1", "--pairs", "-5"],
+            ["benchmark-random", "--n", "4", "--seed", "1", "--visibility", "1.5"],
+            ["chsh-manifold", "--exact", "--step", "0"],
+            ["benchmark-random", "--n", "4", "--seed", "1", "--phase-sigma", "nan"],
+            ["benchmark-random", "--n", "4", "--seed", "1", "--pairs", "0"],
+        ],
+        ids=["n-zero", "pairs-negative", "visibility-above-one", "step-zero", "sigma-nan", "pairs-zero"],
+    )
+    def test_exit_2_with_one_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(argv + ["--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestBenchmarkCommand:
     def test_json_output(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"

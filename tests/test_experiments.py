@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rechip.calibration import HeaterCurve, fit_fringe
-from rechip.chip import two_qubit_unitary
+from rechip.chip import BASIS_LABELS, PhaseConfig, coincidence_probs, two_qubit_unitary
 from rechip.experiments import (
     PrepAmplitudes,
     bell_state_suite,
@@ -12,6 +13,7 @@ from rechip.experiments import (
     chsh_prep_config,
     chsh_state,
     chsh_sum,
+    device_probs,
     fringe_scan,
     hom_scan,
     load_psi_glyph,
@@ -23,6 +25,7 @@ from rechip.experiments import (
     read_bloch_targets,
     reduced_state_of_config,
     solve_mixed_prep,
+    tomography_records,
 )
 from rechip.noise import NoiseModel
 from rechip.numerics import align_global_phase
@@ -306,3 +309,88 @@ class TestFringeScan:
         a = fringe_scan(4, volts, self.CURVE, NOISE_REF, np.random.default_rng(2))
         b = fringe_scan(4, volts, self.CURVE, NOISE_REF, np.random.default_rng(2))
         assert np.array_equal(a.counts0, b.counts0)
+
+
+class TestBatchedDrivers:
+    def test_empty_benchmark_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            random_config_benchmark(0, NOISE_REF, np.random.default_rng(1))
+
+    def test_device_probs_batch_equals_single_calls(self, rng):
+        phis = rng.uniform(0, TWO_PI, (16, 8))
+        batch = device_probs(phis, NOISE_REF, np.random.default_rng(3).spawn(16), "10")
+        single = [device_probs(PhaseConfig(p), NOISE_REF, g, "10")
+                  for p, g in zip(phis, np.random.default_rng(3).spawn(16))]
+        assert np.array_equal(batch.as_array(), np.array([s.as_array() for s in single]))
+        assert np.array_equal(batch.success, np.array([s.success for s in single]))
+
+    @pytest.mark.parametrize("jobs", [2, 5, 40])
+    def test_benchmark_independent_of_jobs(self, jobs):
+        ref = random_config_benchmark(17, NOISE_REF, np.random.default_rng(8))
+        out = random_config_benchmark(17, NOISE_REF, np.random.default_rng(8), jobs=jobs)
+        assert np.array_equal(ref.fidelities, out.fidelities)
+
+    def test_sampled_manifold_independent_of_jobs(self):
+        ref = chsh_manifold(TWO_PI / 4, NOISE_REF, np.random.default_rng(9), mc_trials=5)
+        out = chsh_manifold(TWO_PI / 4, NOISE_REF, np.random.default_rng(9), mc_trials=5, jobs=3)
+        assert np.array_equal(ref.s, out.s)
+        assert np.array_equal(ref.std, out.std)
+
+    def test_chunk_cap_does_not_change_results(self, monkeypatch):
+        bench = random_config_benchmark(23, NOISE_REF, np.random.default_rng(12))
+        grid = chsh_manifold(TWO_PI / 4, NOISE_REF, np.random.default_rng(13), mc_trials=3)
+        monkeypatch.setattr("rechip.experiments._MAX_CHUNK", 4)
+        assert np.array_equal(random_config_benchmark(23, NOISE_REF, np.random.default_rng(12)).fidelities,
+                              bench.fidelities)
+        capped = chsh_manifold(TWO_PI / 4, NOISE_REF, np.random.default_rng(13), mc_trials=3, jobs=2)
+        assert np.array_equal(capped.s, grid.s)
+        assert np.array_equal(capped.std, grid.std)
+
+    def test_manifold_points_equal_chsh_sum(self):
+        grid = chsh_manifold(TWO_PI / 6, NOISE_REF, np.random.default_rng(10), mc_trials=4)
+        children = np.random.default_rng(10).spawn(grid.s.size)
+        for k, child in enumerate(children):
+            i, j = divmod(k, grid.s.shape[1])
+            s, std = chsh_sum(grid.alphas[i], grid.betas[j], NOISE_REF, child, mc_trials=4)
+            assert (s, std) == (grid.s[i, j], grid.std[i, j])
+
+    def test_nan_step_rejected(self):
+        with pytest.raises(ValueError, match="step"):
+            chsh_manifold(step=float("nan"))
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_tomography_records_exact_and_sampled(self, qubits):
+        prep = PhaseConfig([np.pi / 2] + [0.0] * 7)
+        settings, exact = tomography_records(prep, NOISE_REF, None, qubits)
+        _, sampled = tomography_records(prep, NOISE_REF, np.random.default_rng(11), qubits)
+        assert [r.setting for r in exact] == [s.label for s in settings] == [r.setting for r in sampled]
+        outcomes = 2 ** qubits
+        for e, s in zip(exact, sampled):
+            assert e.counts(outcomes).sum() == pytest.approx(NOISE_REF.mean_pairs, abs=outcomes)
+            assert abs(s.counts(outcomes).sum() - NOISE_REF.mean_pairs) < 6 * np.sqrt(NOISE_REF.mean_pairs)
+
+
+class TestDeviceProbsProperties:
+    """Physics of the simulated device for any phase batch and noise setting."""
+
+    @given(
+        n=st.integers(1, 64),
+        seed=st.integers(0, 2**31),
+        sigma=st.floats(0.0, 0.5),
+        v=st.floats(0.0, 1.0),
+        state=st.sampled_from(BASIS_LABELS),
+    )
+    def test_rows_are_distributions(self, n, seed, sigma, v, state):
+        rng = np.random.default_rng(seed)
+        phis = rng.uniform(0.0, TWO_PI, (n, 8))
+        noise = NoiseModel(phase_sigma=sigma, indistinguishability=v)
+        p = device_probs(phis, noise, rng.spawn(n), state).as_array()
+        assert p.shape == (n, 4)
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-12
+
+    @given(n=st.integers(1, 64), seed=st.integers(0, 2**31), state=st.sampled_from(BASIS_LABELS))
+    def test_waveguide_success_is_one_ninth(self, n, seed, state):
+        phis = np.random.default_rng(seed).uniform(0.0, TWO_PI, (n, 8))
+        success = coincidence_probs(phis, state, model="waveguide").success
+        assert np.max(np.abs(success - 1.0 / 9.0)) <= 1e-12

@@ -48,6 +48,37 @@ def test_distinguishable_paths_agree(rng):
             assert np.max(np.abs(loops - ref)) < 1e-12
 
 
+def test_batched_numpy_forms_equal_stacked_single_calls(rng):
+    out_i, out_j, _ = two_photon_pairs(6)
+    u = np.array([random_unitary(rng, 6) for _ in range(64)])
+    pu = np.abs(u) ** 2
+    for a, b in ((1, 3), (2, 2)):
+        amps = kernels.two_photon_amps_numpy(u, a, b, out_i, out_j)
+        assert np.array_equal(amps, np.array([kernels.two_photon_amps_numpy(m, a, b, out_i, out_j) for m in u]))
+        probs = kernels.distinguishable_probs_numpy(pu, a, b, out_i, out_j)
+        assert np.array_equal(probs, np.array([kernels.distinguishable_probs_numpy(m, a, b, out_i, out_j) for m in pu]))
+        # the dispatched kernels take stacks on either path
+        assert np.array_equal(kernels.two_photon_amps(u, a, b, out_i, out_j), amps)
+        assert np.array_equal(kernels.distinguishable_probs(pu, a, b, out_i, out_j), probs)
+
+
+def test_loop_forms_only_see_single_matrices(rng):
+    # the numba dispatch wraps each compiled loop form this way
+    seen = []
+
+    def loops(u, a, b, out_i, out_j):
+        seen.append(u.ndim)
+        return kernels._two_photon_amps_loops(u, a, b, out_i, out_j)
+
+    kernel = kernels._single_matrix(loops, kernels.two_photon_amps_numpy)
+    out_i, out_j, _ = two_photon_pairs(6)
+    u = np.array([random_unitary(rng, 6) for _ in range(3)])
+    batch = kernel(u, 0, 3, out_i, out_j)
+    single = kernel(u[1], 0, 3, out_i, out_j)
+    assert seen == [2]
+    assert np.max(np.abs(batch[1] - single)) < 1e-12
+
+
 def _random_mle_problem(rng, dim, nproj=12):
     projs = []
     for _ in range(nproj):

@@ -33,6 +33,16 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(phase_sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["phase_sigma", "indistinguishability", "accidental_fraction", "mean_pairs"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(**{field: value})
+
+    def test_negative_pairs_rejected(self):
+        with pytest.raises(ValueError, match="mean_pairs"):
+            NoiseModel(mean_pairs=-5.0)
+
 
 class TestPhaseNoise:
     def test_zero_sigma_identity(self, rng):
@@ -58,6 +68,13 @@ class TestPhaseNoise:
     def test_negative_sigma_rejected(self, rng):
         with pytest.raises(ValueError):
             apply_phase_noise(PhaseConfig.zeros(), -1.0, rng)
+
+    def test_batch_rows_draw_from_their_own_generator(self, rng):
+        phis = rng.uniform(0, TWO_PI, (5, 8))
+        batch = apply_phase_noise(phis, 0.3, np.random.default_rng(7).spawn(5))
+        single = [apply_phase_noise(PhaseConfig(p), 0.3, g).phis
+                  for p, g in zip(phis, np.random.default_rng(7).spawn(5))]
+        assert np.array_equal(batch, np.array(single))
 
 
 class TestMixStatistics:
@@ -88,6 +105,18 @@ class TestMixStatistics:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             mix_statistics(self.Q, self.C, 1.5)
+
+    @given(st.integers(1, 64), st.floats(0.0, 1.0), st.integers(0, 2**31))
+    def test_valid_rows_stay_probabilities(self, n, v, seed):
+        rng = np.random.default_rng(seed)
+        q = CoincidenceProbs.from_array(rng.dirichlet(np.ones(4), n), rng.uniform(0, 1, n))
+        c = CoincidenceProbs.from_array(rng.dirichlet(np.ones(4), n), rng.uniform(0, 1, n))
+        mixed = mix_statistics(q, c, v)
+        p = mixed.as_array()
+        assert p.shape == (n, 4)
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert np.all((mixed.success >= 0.0) & (mixed.success <= 1.0))
+        assert np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-12
 
 
 class TestSampleCounts:
