@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
+from .csvio import finite_floats, read_rows
+
 V_MIN, V_MAX = 0.0, 7.0
 
 
@@ -168,22 +170,7 @@ FRINGE_HEADER = ["voltage", "counts"]
 
 def read_fringe_csv(path):
     """Parse a `voltage,counts` CSV; raises ValueError naming the offending line."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != FRINGE_HEADER:
-            raise ValueError(f"{path}: line 1: expected header {','.join(FRINGE_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
-    return rows
+    return read_rows(path, FRINGE_HEADER, finite_floats)
 
 
 def write_fringe_csv(path, samples):

@@ -76,15 +76,6 @@ def wrap_phases(phis):
 
 
 @dataclass(frozen=True)
-class DualRailMap:
-    """Mode assignment of the dual-rail encoding (first rail = logical |0>)."""
-
-    qubit_a: tuple = QUBIT_A_RAILS
-    qubit_b: tuple = QUBIT_B_RAILS
-    ancillas: tuple = ANCILLA_MODES
-
-
-@dataclass(frozen=True)
 class PhaseConfig:
     """The eight on-chip phases, wrapped into [0, 2*pi) on construction."""
 
@@ -259,15 +250,15 @@ def coincidence_patterns():
     return tuple(pattern_of_pair(a, b, MODES) for a, b in zip(*COINCIDENCE_PAIRS))
 
 
-def _postselected_block(u):
-    """4x4 matrix of postselected two-photon amplitudes of a 6-mode transfer matrix."""
-    u = np.ascontiguousarray(u, dtype=complex)
-    out_i, out_j = COINCIDENCE_PAIRS
-    block = np.empty((4, 4), dtype=complex)
-    for col in range(4):
-        a, b = input_modes(col)
-        block[:, col] = kernels.two_photon_amps(u, a, b, out_i, out_j)
-    return block
+def _postselected_block(netlist=None):
+    """4x4 postselected two-photon amplitudes of a netlist (columns = basis inputs).
+
+    With no netlist, the default netlist at the identity settings of the
+    preparation and measurement stages.
+    """
+    u = compose(netlist if netlist is not None else default_netlist(PhaseConfig.zeros()))
+    columns = [kernels.two_photon_amps(u, *input_modes(k), *COINCIDENCE_PAIRS) for k in range(4)]
+    return np.stack(columns, axis=-1)
 
 
 def postselected_map(config):
@@ -276,27 +267,17 @@ def postselected_map(config):
     Equals two_qubit_unitary(config) / 3 up to a global phase; the squared
     column norms are the postselection successes (1/9 each).
     """
-    return _postselected_block(compose(default_netlist(config)))
+    return _postselected_block(default_netlist(config))
 
 
 def verify_cnot(netlist=None):
-    """Max-entry deviation of 3x the postselected map from CNOT, phase-aligned.
-
-    With no argument, checks the default netlist at the identity settings of
-    the preparation and measurement stages.
-    """
-    if netlist is None:
-        netlist = default_netlist(PhaseConfig.zeros())
-    block = _postselected_block(compose(netlist))
-    return float(np.max(np.abs(align_global_phase(3.0 * block) - u_cnot())))
+    """Max-entry deviation of 3x the postselected map from CNOT, phase-aligned."""
+    return float(np.max(np.abs(align_global_phase(3.0 * _postselected_block(netlist)) - u_cnot())))
 
 
 def cnot_success_probs(netlist=None):
     """Postselection success probability for each computational basis input."""
-    if netlist is None:
-        netlist = default_netlist(PhaseConfig.zeros())
-    block = _postselected_block(compose(netlist))
-    return np.sum(np.abs(block) ** 2, axis=0)
+    return np.sum(np.abs(_postselected_block(netlist)) ** 2, axis=0)
 
 
 def _basis_index(state):

@@ -48,6 +48,31 @@ def _rng_from_args(args, parser):
     return np.random.default_rng(args.seed)
 
 
+class InputFileError(Exception):
+    """An input file that cannot be read or holds malformed data (exit 1)."""
+
+
+def _read_input(read, path):
+    """read(path); an unreadable or malformed file raises InputFileError naming it.
+
+    Pass the reader as a module attribute (``noise.read_count_records``) so
+    the lookup happens at call time.
+    """
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        raise InputFileError(exc) from None
+
+
+def _read_netlist(path):
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return netlist_from_json(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _write_output(args, text):
     if args.output:
         with open(args.output, "w") as fh:
@@ -146,17 +171,7 @@ def _apply_config_file(parser, argv):
 
 
 def cmd_verify_chip(args, parser):
-    netlist = None
-    if args.netlist:
-        try:
-            with open(args.netlist) as fh:
-                netlist = netlist_from_json(fh.read())
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except (ValueError, KeyError) as exc:
-            print(f"error: {args.netlist}: {exc}", file=sys.stderr)
-            return 1
+    netlist = _read_input(_read_netlist, args.netlist) if args.netlist else None
     defect = verify_cnot(netlist)
     successes = cnot_success_probs(netlist)
     report = {
@@ -220,14 +235,7 @@ def cmd_mixed_suite(args, parser):
     if args.glyph:
         targets = experiments.load_psi_glyph()
     elif args.targets:
-        try:
-            targets = experiments.read_bloch_targets(args.targets)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        targets = _read_input(experiments.read_bloch_targets, args.targets)
     if targets is None and rng is None:
         parser.error("mixed-suite --exact needs --targets or --glyph")
     report = experiments.mixed_state_suite(
@@ -256,14 +264,7 @@ def cmd_hom_dip(args, parser):
 
 
 def cmd_fringe_fit(args, parser):
-    try:
-        samples = calibration.read_fringe_csv(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    samples = _read_input(calibration.read_fringe_csv, args.input)
     try:
         fit = calibration.fit_fringe(samples)
     except (ValueError, calibration.CalibrationError) as exc:
@@ -276,24 +277,15 @@ def cmd_fringe_fit(args, parser):
 
 
 def cmd_tomo(args, parser):
-    try:
-        records = noise.read_count_records(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    records = _read_input(noise.read_count_records, args.input)
     if not records:
-        print(f"error: {args.input}: no count records", file=sys.stderr)
-        return 1
+        raise InputFileError(f"{args.input}: no count records")
     qubits = args.qubits or (2 if len(records[0].setting) == 2 else 1)
     by_label = {r.setting: r for r in records}
     settings = tomography.canonical_settings(qubits)
     missing = [s.label for s in settings if s.label not in by_label]
     if missing:
-        print(f"error: {args.input}: missing settings {missing}", file=sys.stderr)
-        return 1
+        raise InputFileError(f"{args.input}: missing settings {missing}")
     result = tomography.mle_reconstruct(settings, [by_label[s.label] for s in settings])
     report = {
         "schema": SCHEMA,
@@ -327,6 +319,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args, parser)
+    except InputFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2

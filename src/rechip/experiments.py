@@ -29,6 +29,7 @@ from .chip import (
     transfer_matrices,
     two_qubit_unitary,
 )
+from .csvio import finite_floats, read_rows
 from .noise import (
     CountRecord,
     NoiseModel,
@@ -158,11 +159,8 @@ def _outcome_counts(p, noise, rngs):
 # random-configuration benchmark
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BenchmarkReport:
-    """Statistical fidelities of randomly chosen device configurations."""
-
-    fidelities: np.ndarray
+class _FidelityStats:
+    """Summary statistics over a report's ``fidelities`` array."""
 
     @property
     def mean(self):
@@ -174,6 +172,13 @@ class BenchmarkReport:
 
     def fraction_above(self, threshold):
         return float(np.mean(self.fidelities > threshold))
+
+
+@dataclass
+class BenchmarkReport(_FidelityStats):
+    """Statistical fidelities of randomly chosen device configurations."""
+
+    fidelities: np.ndarray
 
     def to_dict(self):
         return {
@@ -231,24 +236,13 @@ class SuiteEntry:
 
 
 @dataclass
-class SuiteReport:
+class SuiteReport(_FidelityStats):
     experiment: str
     entries: list = field(default_factory=list)
 
     @property
     def fidelities(self):
         return np.array([e.fidelity for e in self.entries])
-
-    @property
-    def mean(self):
-        return float(np.mean(self.fidelities))
-
-    @property
-    def std(self):
-        return float(np.std(self.fidelities))
-
-    def fraction_above(self, threshold):
-        return float(np.mean(self.fidelities > threshold))
 
     def to_dict(self, include_states=True):
         doc = {
@@ -558,7 +552,8 @@ def mixed_state_suite(targets=None, n=119, noise=None, rng=None, mc_trials=0, jo
     """Generate mixed single-qubit targets on the chip and tomograph qubit A.
 
     targets: iterable of Bloch vectors; when omitted, n targets are drawn at
-    random by the Hilbert-Schmidt measure (requires an rng).
+    random by the Hilbert-Schmidt measure (requires an rng).  No targets
+    (an empty list, or n < 1) is a ValueError.
     """
     noise = noise if noise is not None else NoiseModel.noiseless()
     if targets is None:
@@ -566,6 +561,8 @@ def mixed_state_suite(targets=None, n=119, noise=None, rng=None, mc_trials=0, jo
             raise ValueError("sampling targets requires an rng")
         targets = [bloch_of_rho(sample_hs_random(2, rng)) for _ in range(n)]
     targets = [np.asarray(t, dtype=float) for t in targets]
+    if not targets:
+        raise ValueError("at least one target is required, got none")
     children = _spawn(rng, len(targets))
 
     def one(i):
@@ -685,31 +682,10 @@ def load_psi_glyph():
     """The 63 bundled real-plane Bloch vectors tracing the psi glyph."""
     from importlib import resources
 
-    targets = []
-    text = resources.files("rechip").joinpath("data/psi_glyph.csv").read_text()
-    for lineno, line in enumerate(text.strip().splitlines()):
-        if lineno == 0:
-            continue
-        rx, ry, rz = (float(v) for v in line.split(","))
-        targets.append(np.array([rx, ry, rz]))
-    return targets
+    with resources.as_file(resources.files("rechip") / "data" / "psi_glyph.csv") as path:
+        return read_bloch_targets(path)
 
 
 def read_bloch_targets(path):
     """Parse a Bloch-target CSV (header rx,ry,rz); errors name the line."""
-    targets = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["rx", "ry", "rz"]:
-            raise ValueError(f"{path}: line 1: expected header rx,ry,rz")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields")
-            try:
-                targets.append(np.array([float(v) for v in row]))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
-    return targets
+    return read_rows(path, ["rx", "ry", "rz"], lambda fields: np.array(finite_floats(fields)))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .chip import CoincidenceProbs, PhaseConfig, phase_batch, wrap_phases
+from .csvio import read_rows
 
 SPEED_OF_LIGHT_NM_PER_FS = 299.792458
 
@@ -179,24 +180,16 @@ def write_count_records(path, records):
             writer.writerow([r.setting, r.n00, r.n01, r.n10, r.n11])
 
 
+def _count_record(fields):
+    try:
+        counts = [int(c) for c in fields[1:]]
+    except ValueError:
+        raise ValueError("non-integer count") from None
+    if any(c < 0 for c in counts):
+        raise ValueError("negative count")
+    return CountRecord(fields[0], *counts)
+
+
 def read_count_records(path):
     """Parse a counts CSV; raises ValueError naming the offending line."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != COUNTS_HEADER:
-            raise ValueError(f"{path}: line 1: expected header {','.join(COUNTS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}: line {lineno}: expected 5 fields, got {len(row)}")
-            try:
-                counts = [int(c) for c in row[1:]]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer count") from None
-            if any(c < 0 for c in counts):
-                raise ValueError(f"{path}: line {lineno}: negative count")
-            records.append(CountRecord(row[0], *counts))
-    return records
+    return read_rows(path, COUNTS_HEADER, _count_record)

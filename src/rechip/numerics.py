@@ -7,8 +7,6 @@ ample headroom for the stated tolerances.
 
 import numpy as np
 
-from . import kernels
-
 HERMITIAN_TOL = 1e-10
 EIGENVALUE_CLAMP = 1e-10
 
@@ -24,20 +22,6 @@ def tensor(a, b):
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
     return out.reshape(out.shape[:-4] + (rows, cols))
-
-
-def permanent(a):
-    """Matrix permanent of a square complex matrix (Ryser expansion).
-
-    Raises
-    ------
-    ValueError
-        If the input is not square.
-    """
-    a = np.ascontiguousarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"permanent requires a square matrix, got shape {a.shape}")
-    return complex(kernels.permanent(a))
 
 
 def hermiticity_defect(h):

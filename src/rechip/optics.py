@@ -147,15 +147,12 @@ def two_photon_amplitude(u, input_state, output_state):
     u = np.asarray(u, dtype=complex)
     a, b = pair_of_pattern(input_state)
     i, j = pair_of_pattern(output_state)
-    fin = 2.0 if a == b else 1.0
-    fout = 2.0 if i == j else 1.0
-    amp = u[i, a] * u[j, b] + u[i, b] * u[j, a]
-    return complex(amp / np.sqrt(fin * fout))
+    return complex(kernels.two_photon_amps(u, a, b, np.array([i]), np.array([j]))[0])
 
 
 def two_photon_distribution(u, input_state):
     """Probabilities over every two-photon output pattern (sums to 1)."""
-    u = np.ascontiguousarray(u, dtype=complex)
+    u = np.asarray(u, dtype=complex)
     a, b = pair_of_pattern(input_state)
     out_i, out_j, _ = two_photon_pairs(u.shape[0])
     amps = kernels.two_photon_amps(u, a, b, out_i, out_j)
@@ -175,7 +172,7 @@ def distinguishable_distribution(u, input_state):
     """
     u = np.asarray(u, dtype=complex)
     a, b = pair_of_pattern(input_state)
-    pu = np.ascontiguousarray(np.abs(u) ** 2)
+    pu = np.abs(u) ** 2
     out_i, out_j, _ = two_photon_pairs(u.shape[0])
     probs = kernels.distinguishable_probs(pu, a, b, out_i, out_j)
     modes = u.shape[0]

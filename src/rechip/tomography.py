@@ -103,7 +103,7 @@ def projectors_of_setting(setting):
         for q, b in zip(per_qubit[1:], bits[1:]):
             p = tensor(p, q[b])
         projs.append(p)
-    return np.ascontiguousarray(np.stack(projs))
+    return np.stack(projs)
 
 
 def _stack_measurements(settings, counts):
@@ -123,7 +123,7 @@ def _stack_measurements(settings, counts):
     if not projs:
         raise ValueError("zero total counts")
     return (
-        np.ascontiguousarray(np.concatenate(projs)),
+        np.concatenate(projs),
         np.concatenate(ns),
         np.concatenate(totals),
         outcomes,

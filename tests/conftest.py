@@ -1,17 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from rechip import kernels
-
 settings.register_profile("default", deadline=None, max_examples=50)
 settings.load_profile("default")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT-compile (or no-op) every kernel so timed tests measure steady state
-    kernels.warmup()
 
 
 @pytest.fixture
@@ -32,3 +27,19 @@ def assert_equal_up_to_phase(got, expect, atol=1e-9):
     k = np.unravel_index(np.argmax(np.abs(expect)), expect.shape)
     rotated = got * np.exp(1j * (np.angle(expect[k]) - np.angle(got[k])))
     assert np.max(np.abs(rotated - expect)) < atol
+
+
+def brute_force_amplitude(u, input_state, output_state):
+    # explicit sum over photon-path assignments with bosonic normalisation
+    ins = [m for m, n in enumerate(input_state) for _ in range(n)]
+    outs = [m for m, n in enumerate(output_state) for _ in range(n)]
+    total = 0j
+    for perm in itertools.permutations(range(len(ins))):
+        term = 1.0 + 0j
+        for k, p in enumerate(perm):
+            term *= u[outs[k], ins[p]]
+        total += term
+    norm = 1.0
+    for occ in list(input_state) + list(output_state):
+        norm *= math.factorial(occ)
+    return total / np.sqrt(norm)

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from rechip.calibration import HeaterCurve, fringe_model, write_fringe_csv
 from rechip.chip import PhaseConfig, default_netlist
+import rechip
 from rechip.cli import main
 from rechip.noise import write_count_records
 from rechip.optics import Coupler, Netlist, netlist_to_json
@@ -40,6 +44,17 @@ class TestVerifyChip:
     def test_missing_netlist_file(self, tmp_path, capsys):
         code = main(["verify-chip", "--netlist", str(tmp_path / "nope.json")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[]", '{"modes": 6, "elements": 5}', '{"modes": 6, "elements": [{"type": "phase"}]}'],
+        ids=["list", "elements-not-a-list", "missing-field"],
+    )
+    def test_malformed_netlist_file(self, text, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        assert main(["verify-chip", "--netlist", str(path)]) == 1
+        _one_error_line(capsys, f"{path}: ")
 
 
 class TestSeedRequirement:
@@ -91,18 +106,59 @@ class TestArgumentValidation:
             ["chsh-manifold", "--exact", "--step", "0"],
             ["benchmark-random", "--n", "4", "--seed", "1", "--phase-sigma", "nan"],
             ["benchmark-random", "--n", "4", "--seed", "1", "--pairs", "0"],
+            ["mixed-suite", "--n", "0", "--seed", "1"],
         ],
-        ids=["n-zero", "pairs-negative", "visibility-above-one", "step-zero", "sigma-nan", "pairs-zero"],
+        ids=["n-zero", "pairs-negative", "visibility-above-one", "step-zero", "sigma-nan", "pairs-zero",
+             "mixed-n-zero"],
     )
     def test_exit_2_with_one_line(self, argv, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        code = main(argv + ["--output", str(out)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert len(captured.err.strip().splitlines()) == 1
-        assert captured.err.startswith("error: ")
-        assert captured.out == ""
-        assert not out.exists()
+        _assert_exit_2_with_one_line(argv, tmp_path, capsys)
+
+    def test_header_only_targets(self, tmp_path, capsys):
+        path = tmp_path / "targets.csv"
+        path.write_text("rx,ry,rz\n")
+        _assert_exit_2_with_one_line(["mixed-suite", "--targets", str(path), "--seed", "1"], tmp_path, capsys)
+
+
+def _assert_exit_2_with_one_line(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(argv + ["--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _one_error_line(capsys, text):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ")
+    assert text in err
+
+
+class TestFreshProcess:
+    """A new interpreter writes nothing to stderr beyond the diagnostic itself."""
+
+    def _run(self, *argv):
+        # the child imports the same rechip as this test, ahead of any other PYTHONPATH entry
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rechip.__file__)))
+        paths = (src, os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        return subprocess.run([sys.executable, "-m", "rechip.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_rejected_argument_gives_one_stderr_line(self):
+        out = self._run("benchmark-random", "--n", "0", "--seed", "1")
+        assert out.returncode == 2
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("error: benchmark-random: ")
+
+    def test_version_writes_no_stderr(self):
+        out = self._run("--version")
+        assert out.returncode == 0
+        assert out.stderr == ""
 
 
 class TestBenchmarkCommand:
@@ -163,6 +219,12 @@ class TestMixedSuiteCommand:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_finite_target_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "targets.csv"
+        path.write_text("rx,ry,rz\n0.1,0.0,0.2\n0.1,nan,0.0\n")
+        assert main(["mixed-suite", "--targets", str(path), "--seed", "1"]) == 1
+        _one_error_line(capsys, f"{path}: line 3: non-finite value")
+
 
 class TestHomCommand:
     def test_summary(self, capsys):
@@ -193,6 +255,16 @@ class TestFringeFitCommand:
 
     def test_missing_file(self, tmp_path):
         assert main(["fringe-fit", str(tmp_path / "nope.csv")]) == 1
+
+    def test_non_finite_sample_names_its_line(self, tmp_path, capsys):
+        curve = HeaterCurve(0.2, 0.4, 0.005, -0.0005)
+        volts = np.linspace(0, 7, 40)
+        samples = list(zip(volts, fringe_model(5000.0, 0.97, curve, volts)))
+        samples[5] = (volts[5], float("nan"))
+        path = tmp_path / "fringe.csv"
+        write_fringe_csv(path, samples)
+        assert main(["fringe-fit", str(path)]) == 1
+        _one_error_line(capsys, f"{path}: line 7: non-finite value")
 
 
 class TestTomoCommand:

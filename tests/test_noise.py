@@ -207,6 +207,14 @@ class TestCountsCsv:
         with pytest.raises(ValueError, match="line 3"):
             read_count_records(path)
 
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("setting,n00,n01,n10,n11\n\nZZ,1,2,3,4\n\n")
+        assert read_count_records(path) == [CountRecord("ZZ", 1, 2, 3, 4)]
+        path.write_text("setting,n00,n01,n10,n11\n\nZZ,1,x,3,4\n")
+        with pytest.raises(ValueError, match=r"counts\.csv: line 3: non-integer count"):
+            read_count_records(path)
+
     def test_negative_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("setting,n00,n01,n10,n11\nZZ,1,-2,3,4\n")

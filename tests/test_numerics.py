@@ -1,12 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from rechip.numerics import (
     align_global_phase,
     hermiticity_defect,
-    permanent,
     psd_sqrt,
     tensor,
     unitarity_defect,
@@ -15,17 +12,6 @@ from conftest import random_unitary
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def permanent_by_enumeration(a):
-    n = a.shape[0]
-    total = 0j
-    for perm in itertools.permutations(range(n)):
-        term = 1.0 + 0j
-        for i, j in enumerate(perm):
-            term *= a[i, j]
-        total += term
-    return total
 
 
 class TestTensor:
@@ -53,28 +39,6 @@ class TestTensor:
         b = rng.normal(size=(3, 3))
         c = rng.normal(size=(2, 2))
         assert np.allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=0)
-
-
-class TestPermanent:
-    def test_identity(self):
-        assert permanent(np.eye(2)) == pytest.approx(1.0)
-
-    def test_all_ones_2x2(self):
-        assert permanent(np.ones((2, 2))) == pytest.approx(2.0)
-
-    def test_all_ones_3x3(self):
-        assert permanent(np.ones((3, 3))) == pytest.approx(6.0)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_against_enumeration(self, n, rng):
-        for _ in range(100):
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            expect = permanent_by_enumeration(a)
-            assert abs(permanent(a) - expect) <= 1e-10 * max(1.0, abs(expect))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            permanent(np.ones((2, 3)))
 
 
 class TestPsdSqrt:

@@ -1,6 +1,3 @@
-import itertools
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +17,7 @@ from rechip.optics import (
     two_photon_amplitude,
     two_photon_distribution,
 )
-from conftest import random_unitary
+from conftest import brute_force_amplitude, random_unitary
 
 
 def random_netlist(rng, modes, n_elements=12):
@@ -32,22 +29,6 @@ def random_netlist(rng, modes, n_elements=12):
         else:
             elements.append(Phase(int(rng.integers(modes)), float(rng.uniform(0, 2 * np.pi))))
     return Netlist(modes=modes, elements=tuple(elements))
-
-
-def brute_force_amplitude(u, input_state, output_state):
-    # explicit sum over photon-path assignments with bosonic normalisation
-    ins = [m for m, n in enumerate(input_state) for _ in range(n)]
-    outs = [m for m, n in enumerate(output_state) for _ in range(n)]
-    total = 0j
-    for perm in itertools.permutations(range(len(ins))):
-        term = 1.0 + 0j
-        for k, p in enumerate(perm):
-            term *= u[outs[k], ins[p]]
-        total += term
-    norm = 1.0
-    for occ in list(input_state) + list(output_state):
-        norm *= math.factorial(occ)
-    return total / np.sqrt(norm)
 
 
 class TestElements:
