@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .csvio import finite_floats, read_rows
 
@@ -131,6 +130,8 @@ def fit_fringe(samples, max_nfev=20000):
         Optimizer failure, residual above 10% of the fitted amplitude, or a
         non-monotone fitted curve.
     """
+    from scipy.optimize import least_squares
+
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 20:
         raise ValueError("need at least 20 (voltage, counts) samples")

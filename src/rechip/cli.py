@@ -40,6 +40,12 @@ def _noise_from_args(args):
     )
 
 
+def _mc_trials_from_args(args):
+    if args.mc_trials == 1 or args.mc_trials < 0:
+        raise ValueError(f"--mc-trials must be 0 (no error bars) or at least 2, got {args.mc_trials}")
+    return args.mc_trials
+
+
 def _rng_from_args(args, parser):
     if getattr(args, "exact", False):
         return None
@@ -159,10 +165,11 @@ def _apply_config_file(parser, argv):
         try:
             with open(known.config) as fh:
                 defaults = json.load(fh)
-        except OSError as exc:
-            parser.error(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            print(f"error: invalid config JSON: {exc}", file=sys.stderr)
+            if not isinstance(defaults, dict):
+                raise ValueError("expected an object of option values")
+        except (OSError, ValueError) as exc:
+            what = "cannot read config file" if isinstance(exc, OSError) else "invalid config JSON"
+            print(f"error: {what}: {exc}", file=sys.stderr)
             raise SystemExit(1)
         for sub_action in parser._subparsers._group_actions:
             for sub in sub_action.choices.values():
@@ -208,7 +215,7 @@ def cmd_benchmark_random(args, parser):
 def cmd_bell_suite(args, parser):
     rng = _rng_from_args(args, parser)
     report = experiments.bell_state_suite(
-        noise=_noise_from_args(args), rng=rng, mc_trials=args.mc_trials, jobs=args.jobs
+        noise=_noise_from_args(args), rng=rng, mc_trials=_mc_trials_from_args(args), jobs=args.jobs
     )
     _emit(args, report.to_dict())
     return 0
@@ -218,7 +225,7 @@ def cmd_chsh_manifold(args, parser):
     rng = _rng_from_args(args, parser)
     grid = experiments.chsh_manifold(
         step=args.step, noise=_noise_from_args(args), rng=rng,
-        mc_trials=args.mc_trials, jobs=args.jobs,
+        mc_trials=_mc_trials_from_args(args), jobs=args.jobs,
     )
     doc = grid.to_dict()
     if args.format == "csv":
@@ -240,7 +247,7 @@ def cmd_mixed_suite(args, parser):
         parser.error("mixed-suite --exact needs --targets or --glyph")
     report = experiments.mixed_state_suite(
         targets=targets, n=args.n, noise=_noise_from_args(args), rng=rng,
-        mc_trials=args.mc_trials, jobs=args.jobs,
+        mc_trials=_mc_trials_from_args(args), jobs=args.jobs,
     )
     _emit(args, report.to_dict(include_states=False))
     return 0
@@ -295,6 +302,7 @@ def cmd_tomo(args, parser):
         "log_likelihood": result.log_likelihood,
         "iterations": result.iterations,
         "converged": result.converged,
+        "message": result.message,
     }
     _emit(args, report)
     return 0

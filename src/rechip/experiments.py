@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _minimize
 
 from .calibration import phase_of_voltage
 from .chip import (
@@ -233,6 +232,7 @@ class SuiteEntry:
     error: float
     rho: np.ndarray
     target: np.ndarray
+    fits_not_converged: int  # this entry's MLE fits (point estimate and resamples) that did not converge
 
 
 @dataclass
@@ -250,6 +250,7 @@ class SuiteReport(_FidelityStats):
             "experiment": self.experiment,
             "mean": self.mean,
             "std": self.std,
+            "fits_not_converged": sum(e.fits_not_converged for e in self.entries),
             "entries": [],
         }
         for e in self.entries:
@@ -274,21 +275,49 @@ def tomography_records(prep, noise, rng, qubits=2):
     """Simulated count records over the canonical settings for a prepared state.
 
     Single-qubit tomography analyses qubit A (its own measurement stage) and
-    marginalises over qubit B's outcome.  All settings run as one batch.
+    marginalises over qubit B's outcome.  ``prep`` may also be a sequence of
+    preparations, with rng None or one generator per preparation; the records
+    then come as one list per preparation.  Every setting of every
+    preparation runs as one batch, and each preparation's generator spawns
+    one child per setting, so a preparation's records do not depend on the
+    others in the batch.
     """
+    if isinstance(prep, PhaseConfig):
+        settings, records = tomography_records([prep], noise, None if rng is None else [rng], qubits)
+        return settings, records[0]
     settings = canonical_settings(qubits)
-    children = None if rng is None else rng.spawn(len(settings))
-    configs = np.array([_measurement_phases(prep, s) for s in settings])
+    children = None if rng is None else [c for g in rng for c in g.spawn(len(settings))]
+    configs = np.array([_measurement_phases(p, s) for p in prep for s in settings])
     probs = device_probs(configs, noise, children).as_array()
     if qubits == 1:
         probs = np.stack([probs[:, 0] + probs[:, 1], probs[:, 2] + probs[:, 3]], axis=-1)
-    counts = _outcome_counts(probs, noise, children)
-    return settings, [CountRecord.from_counts(s.label, c) for s, c in zip(settings, counts)]
+    counts = _outcome_counts(probs, noise, children).reshape(len(prep), len(settings), -1)
+    return settings, [[CountRecord.from_counts(s.label, c) for s, c in zip(settings, row)] for row in counts]
 
 
-def _reconstruct_fidelity(settings, records, target):
-    result = mle_reconstruct(settings, records)
-    return quantum_fidelity(target, result.rho), result.rho
+def _check_mc_trials(mc_trials):
+    # fewer than two resamples give no spread: 0 and 1 both mean no error bars
+    if mc_trials < 0:
+        raise ValueError(f"mc_trials must not be negative, got {mc_trials}")
+
+
+def _tomograph(label, settings, records, target, mc_trials, rng):
+    """SuiteEntry of one reconstruction; its error is the Poisson-resampled std
+    of the fidelity (mc_trials >= 2 and an rng), each resample warm-started
+    from the point estimate."""
+    point = mle_reconstruct(settings, records)
+    failed = [not point.converged]
+
+    def resampled_fidelity(recs):
+        fit = mle_reconstruct(settings, recs, start=point.params)
+        failed.append(not fit.converged)
+        return quantum_fidelity(target, fit.rho)
+
+    error = 0.0
+    if mc_trials >= 2 and rng is not None:
+        error = monte_carlo_error(records, resampled_fidelity, mc_trials, rng)
+    fidelity = quantum_fidelity(target, point.rho)
+    return SuiteEntry(label, float(fidelity), float(error), point.rho, target, sum(failed))
 
 
 BELL_PREPS = {
@@ -314,29 +343,21 @@ def bell_state_suite(noise=None, rng=None, mc_trials=25, jobs=1):
     """Prepare the four Bell states, tomograph each and report fidelities.
 
     Error bars come from Poisson resampling of the count records followed by
-    re-reconstruction (mc_trials=0 disables them).
+    re-reconstruction (mc_trials below 2 disables them; a negative count is a
+    ValueError).
     """
+    _check_mc_trials(mc_trials)
     noise = noise if noise is not None else NoiseModel.noiseless()
     targets = bell_targets()
     names = list(BELL_PREPS)
     children = _spawn(rng, len(names))
+    preps = [PhaseConfig(list(BELL_PREPS[name]) + [0.0] * 4) for name in names]
+    settings, records = tomography_records(preps, noise, None if rng is None else children, qubits=2)
 
     def one(i):
+        err_rng = children[i] if children[i] is not None else np.random.default_rng(i)
         name = names[i]
-        child = children[i]
-        prep = PhaseConfig(list(BELL_PREPS[name]) + [0.0] * 4)
-        settings, records = tomography_records(prep, noise, child, qubits=2)
-        fidelity, rho = _reconstruct_fidelity(settings, records, targets[name])
-        error = 0.0
-        if mc_trials >= 2:
-            err_rng = child if child is not None else np.random.default_rng(i)
-            error = monte_carlo_error(
-                records,
-                lambda recs: _reconstruct_fidelity(settings, recs, targets[name])[0],
-                mc_trials,
-                err_rng,
-            )
-        return SuiteEntry(name, float(fidelity), float(error), rho, targets[name])
+        return _tomograph(name, settings, records[i], targets[name], mc_trials, err_rng)
 
     entries = _run_indexed(one, len(names), jobs)
     return SuiteReport("bell-suite", entries)
@@ -420,6 +441,7 @@ def chsh_sum(alpha, beta, noise=None, rng=None, mc_trials=0):
     Exact mode (rng=None) evaluates probabilities; otherwise counts are
     Poisson-sampled.  Returns S, or (S, std) when mc_trials >= 2.
     """
+    _check_mc_trials(mc_trials)
     noise = noise if noise is not None else NoiseModel.noiseless()
     s, std = _chsh_points([alpha], [beta], noise, None if rng is None else [rng], mc_trials)
     if mc_trials < 2 or rng is None:
@@ -461,6 +483,7 @@ def chsh_manifold(step=DEFAULT_MANIFOLD_STEP, noise=None, rng=None, mc_trials=0,
     """S(alpha, beta) on a closed grid over [0, 2*pi] x [0, 2*pi]."""
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
+    _check_mc_trials(mc_trials)
     noise = noise if noise is not None else NoiseModel.noiseless()
     npts = int(np.floor(TWO_PI / step + 1e-9)) + 1
     axis = np.arange(npts) * step
@@ -480,8 +503,10 @@ def chsh_extrema(grid=None):
     if grid is None:
         grid = chsh_manifold()
 
+    from scipy.optimize import minimize
+
     def refine(x0, sign):
-        res = _minimize(
+        res = minimize(
             lambda x: sign * chsh_sum(x[0], x[1]),
             x0,
             method="Nelder-Mead",
@@ -553,8 +578,9 @@ def mixed_state_suite(targets=None, n=119, noise=None, rng=None, mc_trials=0, jo
 
     targets: iterable of Bloch vectors; when omitted, n targets are drawn at
     random by the Hilbert-Schmidt measure (requires an rng).  No targets
-    (an empty list, or n < 1) is a ValueError.
+    (an empty list, or n < 1) is a ValueError, as is a negative mc_trials.
     """
+    _check_mc_trials(mc_trials)
     noise = noise if noise is not None else NoiseModel.noiseless()
     if targets is None:
         if rng is None:
@@ -564,23 +590,12 @@ def mixed_state_suite(targets=None, n=119, noise=None, rng=None, mc_trials=0, jo
     if not targets:
         raise ValueError("at least one target is required, got none")
     children = _spawn(rng, len(targets))
+    preps = [prep_config(solve_mixed_prep(r)) for r in targets]
+    settings, records = tomography_records(preps, noise, None if rng is None else children, qubits=1)
 
     def one(i):
-        r = targets[i]
-        child = children[i]
-        prep = prep_config(solve_mixed_prep(r))
-        settings, records = tomography_records(prep, noise, child, qubits=1)
-        target_rho = rho_of_bloch(r)
-        fidelity, rho = _reconstruct_fidelity(settings, records, target_rho)
-        error = 0.0
-        if mc_trials >= 2 and child is not None:
-            error = monte_carlo_error(
-                records,
-                lambda recs: _reconstruct_fidelity(settings, recs, target_rho)[0],
-                mc_trials,
-                child,
-            )
-        return SuiteEntry(f"target-{i}", float(fidelity), float(error), rho, target_rho)
+        target_rho = rho_of_bloch(targets[i])
+        return _tomograph(f"target-{i}", settings, records[i], target_rho, mc_trials, children[i])
 
     entries = _run_indexed(one, len(targets), jobs)
     return SuiteReport("mixed-suite", entries)

@@ -37,34 +37,28 @@ def distinguishable_probs(pu, a, b, out_i, out_j):
 # ---------------------------------------------------------------------------
 # rho is parameterised as T†T / Tr(T†T) with T lower triangular: the first
 # dim parameters are the (real) diagonal, then each strictly-lower entry
-# contributes a (re, im) pair, row-major.  Returns the negative
-# log-likelihood sum_k [n_k log(N_k p_k) - N_k p_k] and its gradient.
+# contributes a (re, im) pair, row-major.  vec(T) = A theta for a fixed
+# complex (dim**2, dim**2) matrix A, and Tr(T†T) = theta . theta.
 
 
 @lru_cache(maxsize=4)
-def _tri_indices(dim):
-    rows = list(range(dim))
-    cols = list(range(dim))
-    kind = [0] * dim  # 0 -> real part, 1 -> imaginary part
+def _param_map(dim):
+    """A with vec(T) = A @ theta: entry 1 (real part) or 1j (imaginary part)."""
+    flat = list(range(0, dim * dim, dim + 1))  # the diagonal
+    coef = [1.0] * dim
     for i in range(dim):
         for j in range(i):
-            rows += [i, i]
-            cols += [j, j]
-            kind += [0, 1]
-    return (
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(kind, dtype=np.int64),
-    )
+            flat += [i * dim + j, i * dim + j]
+            coef += [1.0, 1j]
+    a = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    a[flat, np.arange(dim * dim)] = coef
+    a.flags.writeable = False
+    return a
 
 
 def t_from_params(theta, dim):
     """Lower-triangular T from the real parameter vector (length dim**2)."""
-    rows, cols, kind = _tri_indices(dim)
-    t = np.zeros((dim, dim), dtype=np.complex128)
-    vals = np.where(kind == 0, theta, 1j * theta)
-    np.add.at(t, (rows, cols), vals)
-    return t
+    return (_param_map(dim) @ theta).reshape(dim, dim)
 
 
 def rho_from_params(theta, dim):
@@ -74,21 +68,39 @@ def rho_from_params(theta, dim):
     return m / np.trace(m).real
 
 
+def params_from_rho(rho):
+    """Parameters theta (unit norm) of a full-rank density matrix: the inverse of rho_from_params.
+
+    With J the exchange matrix, the Cholesky factor L of J rho J gives
+    rho = T†T for the lower-triangular T = J L† J.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    dim = rho.shape[0]
+    low = np.linalg.cholesky(rho[::-1, ::-1])
+    t = low.conj().T[::-1, ::-1]
+    z = _param_map(dim).conj().T @ t.ravel()  # picks the real or imaginary part
+    theta = z.real
+    return theta / np.linalg.norm(theta)
+
+
 def mle_nll_grad(theta, projs, counts, totals, dim, floor):
-    rows, cols, kind = _tri_indices(dim)
-    t = t_from_params(theta, dim)
-    m = t.conj().T @ t
-    tau = np.trace(m).real
-    p = np.einsum("kij,ji->k", projs, m).real / tau
+    """Negative log-likelihood -sum_k [n_k log(N_k p_k) - N_k p_k] and its gradient.
+
+    projs holds the K outcome projectors as a (K, dim, dim) stack or as the
+    (K, dim**2) matrix of their flattened rows.  With m = T†T and
+    tau = Tr m, p = Re(P vec(m^T)) / tau; the gradient needs only
+    W = sum_k w_k P_k, since d Tr(P_k m) / d theta = 2 Re(A^H vec(T P_k)).
+    """
+    pmat = projs.reshape(len(projs), dim * dim)
+    a = _param_map(dim)
+    t = (a @ theta).reshape(dim, dim)
+    tau = theta @ theta
+    p = (pmat @ (t.T @ t.conj()).ravel()).real / tau
     pc = np.maximum(p, floor)
     val = -(counts * np.log(totals * pc) - totals * pc).sum()
 
-    a = np.einsum("ab,kbc->kac", t, projs)  # (K, dim, dim)
-    entries = a[:, rows, cols]
-    dq = 2.0 * np.where(kind == 0, entries.real, entries.imag)
-    tvals = t[rows, cols]
-    dtau = 2.0 * np.where(kind == 0, tvals.real, tvals.imag)
-    dp = (dq - p[:, None] * dtau[None, :]) / tau
     w = np.where(p > floor, counts / pc - totals, 0.0)
-    grad = -(w[:, None] * dp).sum(axis=0)
+    tw = t @ (w @ pmat).reshape(dim, dim)
+    dq = 2.0 * (a.conj().T @ tw.ravel()).real
+    grad = -(dq - (w @ p) * 2.0 * theta) / tau
     return val, grad

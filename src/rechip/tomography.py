@@ -12,16 +12,20 @@ Reconstruction maximises the Poissonian log-likelihood
     sum_k [ n_k log(N_s p_k) - N_s p_k ],    p_k = <Pi_k>_rho,
 
 over rho = T†T / Tr(T†T) with T lower triangular, so the result is PSD with
-unit trace by construction.  Outcome probabilities are floored at 1e-12
-inside the likelihood to avoid -inf at the boundary of the state space.
+unit trace by construction (James et al., PRA 64, 052312 (2001)).  Outcome
+probabilities are floored at 1e-12 inside the likelihood to avoid -inf at
+the boundary of the state space.  L-BFGS-B starts from projected linear
+inversion (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)): the
+least-squares rho with its eigenvalues projected onto the probability
+simplex and floored, so that the start is full rank.
 """
 
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import kernels
 from .chip import u_prep
@@ -29,6 +33,7 @@ from .noise import CountRecord
 from .numerics import psd_sqrt, tensor
 
 PROB_FLOOR = 1e-12
+START_EIGEN_FLOOR = 1e-3  # smallest eigenvalue of the linear-inversion start
 
 PAULIS = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -54,10 +59,26 @@ class MeasurementSetting:
 
 @dataclass(frozen=True)
 class MLEResult:
+    """A reconstruction and how the optimizer ended.
+
+    ``converged`` is L-BFGS-B's own success flag and ``message`` its
+    termination message; ``params`` is the optimum in the T†T
+    parameterisation, a warm start for fits of nearby data.
+    """
+
     rho: np.ndarray
     log_likelihood: float
     iterations: int
     converged: bool
+    message: str
+    params: np.ndarray
+
+
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on the first fit rather than with the package."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def check_density(rho, herm_tol=1e-10, trace_tol=1e-10, eig_tol=1e-9):
@@ -87,11 +108,13 @@ def canonical_settings(qubits):
     return settings
 
 
+@lru_cache(maxsize=64)
 def projectors_of_setting(setting):
     """Rank-1 outcome projectors of a setting; they sum to the identity.
 
     Outcome k (bits ordered qubit A then B) projects onto the tensor product
-    of u_prep(phi_y, phi_z)|bit> per qubit.
+    of u_prep(phi_y, phi_z)|bit> per qubit.  The (outcomes, d, d) stack is
+    cached per setting and read-only.
     """
     per_qubit = []
     for phi_y, phi_z in setting.angles:
@@ -103,7 +126,22 @@ def projectors_of_setting(setting):
         for q, b in zip(per_qubit[1:], bits[1:]):
             p = tensor(p, q[b])
         projs.append(p)
-    return np.stack(projs)
+    projs = np.stack(projs)
+    projs.flags.writeable = False
+    return projs
+
+
+@lru_cache(maxsize=64)
+def _design(settings):
+    """Flattened projector rows (K, d**2) of a tuple of settings and the
+    pseudo-inverse mapping outcome frequencies to the least-squares vec(rho)."""
+    pmat = np.concatenate([projectors_of_setting(s) for s in settings])
+    pmat = pmat.reshape(len(pmat), -1)
+    # Tr(P rho) = conj(vec P) . vec(rho) for Hermitian P
+    inverse = np.linalg.pinv(pmat.conj())
+    pmat.flags.writeable = False
+    inverse.flags.writeable = False
+    return pmat, inverse
 
 
 def _stack_measurements(settings, counts):
@@ -111,40 +149,53 @@ def _stack_measurements(settings, counts):
         raise ValueError("counts must align with settings")
     qubits = settings[0].qubits
     outcomes = 2**qubits
-    projs, ns, totals = [], [], []
+    kept, ns, totals = [], [], []
     for setting, record in zip(settings, counts):
         n = record.counts(outcomes)
         total = n.sum()
         if total <= 0:
             continue  # a zero-observation setting carries no likelihood term
-        projs.append(projectors_of_setting(setting))
+        kept.append(setting)
         ns.append(n)
-        totals.append(np.full(outcomes, total))
-    if not projs:
+        totals.append(total)
+    if not kept:
         raise ValueError("zero total counts")
-    return (
-        np.concatenate(projs),
-        np.concatenate(ns),
-        np.concatenate(totals),
-        outcomes,
-    )
+    pmat, inverse = _design(tuple(kept))
+    return pmat, inverse, np.concatenate(ns), np.repeat(totals, outcomes), outcomes
 
 
-def mle_reconstruct(settings, counts, max_iter=5000, ftol=1e-13):
+def linear_inversion_start(inverse, counts, totals, dim):
+    """Projected linear inversion: least-squares rho, eigenvalues projected onto
+    the probability simplex, then floored at START_EIGEN_FLOOR and renormalised."""
+    rho = (inverse @ (counts / totals)).reshape(dim, dim)
+    mu, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+    # Euclidean projection of the eigenvalues onto the simplex (sorted descending)
+    desc = mu[::-1]
+    shift = (np.cumsum(desc) - 1.0) / np.arange(1, dim + 1)
+    last = np.nonzero(desc - shift > 0)[0][-1]
+    lam = np.maximum(mu - shift[last], START_EIGEN_FLOOR)
+    lam /= lam.sum()
+    return kernels.params_from_rho((vecs * lam) @ vecs.conj().T)
+
+
+def mle_reconstruct(settings, counts, max_iter=5000, ftol=1e-13, start=None):
     """Maximum-likelihood density matrix from per-setting count records.
+
+    The search starts from ``start`` (parameters of an earlier fit, e.g.
+    ``MLEResult.params`` of the point estimate when refitting resampled
+    counts) or else from projected linear inversion.
 
     Raises
     ------
     ValueError
         Misaligned inputs or zero total counts.
     """
-    projs, n, totals, dim = _stack_measurements(settings, counts)
+    pmat, inverse, n, totals, dim = _stack_measurements(settings, counts)
 
     def objective(theta):
-        return kernels.mle_nll_grad(theta, projs, n, totals, dim, PROB_FLOOR)
+        return kernels.mle_nll_grad(theta, pmat, n, totals, dim, PROB_FLOOR)
 
-    theta0 = np.zeros(dim * dim)
-    theta0[:dim] = 1.0 / np.sqrt(dim)
+    theta0 = linear_inversion_start(inverse, n, totals, dim) if start is None else start
     result = minimize(
         objective,
         theta0,
@@ -159,7 +210,9 @@ def mle_reconstruct(settings, counts, max_iter=5000, ftol=1e-13):
         rho=rho,
         log_likelihood=float(-result.fun),
         iterations=int(result.nit),
-        converged=bool(result.success or result.nit < max_iter),
+        converged=bool(result.success),
+        message=str(result.message),
+        params=result.x,
     )
 
 

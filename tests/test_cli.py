@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,9 +108,14 @@ class TestArgumentValidation:
             ["benchmark-random", "--n", "4", "--seed", "1", "--phase-sigma", "nan"],
             ["benchmark-random", "--n", "4", "--seed", "1", "--pairs", "0"],
             ["mixed-suite", "--n", "0", "--seed", "1"],
+            ["bell-suite", "--seed", "2", "--mc-trials", "1"],
+            ["bell-suite", "--seed", "2", "--mc-trials", "-3"],
+            ["mixed-suite", "--n", "2", "--seed", "2", "--mc-trials", "1"],
+            ["chsh-manifold", "--seed", "3", "--mc-trials", "1"],
         ],
         ids=["n-zero", "pairs-negative", "visibility-above-one", "step-zero", "sigma-nan", "pairs-zero",
-             "mixed-n-zero"],
+             "mixed-n-zero", "mc-trials-one", "mc-trials-negative", "mixed-mc-trials-one",
+             "manifold-mc-trials-one"],
     )
     def test_exit_2_with_one_line(self, argv, tmp_path, capsys):
         _assert_exit_2_with_one_line(argv, tmp_path, capsys)
@@ -142,11 +148,14 @@ class TestFreshProcess:
     """A new interpreter writes nothing to stderr beyond the diagnostic itself."""
 
     def _run(self, *argv):
+        return self._run_python("-m", "rechip.cli", *argv)
+
+    def _run_python(self, *argv):
         # the child imports the same rechip as this test, ahead of any other PYTHONPATH entry
         src = os.path.dirname(os.path.dirname(os.path.abspath(rechip.__file__)))
         paths = (src, os.environ.get("PYTHONPATH"))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-        return subprocess.run([sys.executable, "-m", "rechip.cli", *argv], env=env,
+        return subprocess.run([sys.executable, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
 
     def test_rejected_argument_gives_one_stderr_line(self):
@@ -159,6 +168,14 @@ class TestFreshProcess:
         out = self._run("--version")
         assert out.returncode == 0
         assert out.stderr == ""
+
+    def test_verify_chip_does_not_import_scipy(self, tmp_path):
+        script = ("import sys; from rechip.cli import main; "
+                  f"code = main(['verify-chip', '--output', {str(tmp_path / 'out.json')!r}]); "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(code)")
+        out = self._run_python("-c", script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestBenchmarkCommand:
@@ -280,6 +297,20 @@ class TestTomoCommand:
         assert doc["qubits"] == 2
         assert doc["converged"] is True
 
+    def test_reports_optimizer_status(self, tmp_path, capsys, monkeypatch):
+        def stopped(fun, x0, **kwargs):
+            return SimpleNamespace(x=x0, fun=fun(x0)[0], success=False, nit=3,
+                                   message="ABNORMAL_TERMINATION_IN_LNSRCH")
+
+        monkeypatch.setattr(rechip.tomography, "minimize", stopped)
+        path = tmp_path / "counts.csv"
+        write_count_records(path, simulate_counts(canonical_settings(2), np.eye(4) / 4, 1e3))
+        code, out = run(["tomo", str(path)], capsys)
+        assert code == 0
+        assert '"converged": false' in out
+        doc = json.loads(out)
+        assert (doc["iterations"], doc["message"]) == (3, "ABNORMAL_TERMINATION_IN_LNSRCH")
+
     def test_missing_setting(self, tmp_path, capsys):
         path = tmp_path / "counts.csv"
         path.write_text("setting,n00,n01,n10,n11\nZZ,1,2,3,4\n")
@@ -297,6 +328,21 @@ class TestConfigFile:
         assert json.loads(out)["n"] == 4
         code, out = run(["benchmark-random", "--config", str(cfg), "--n", "6"], capsys)
         assert json.loads(out)["n"] == 6
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        with pytest.raises(SystemExit) as err:
+            main(["benchmark-random", "--config", str(missing), "--seed", "1", "--n", "2"])
+        assert err.value.code == 1
+        _one_error_line(capsys, "error: cannot read config file: ")
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1, 2]")
+        with pytest.raises(SystemExit) as err:
+            main(["benchmark-random", "--config", str(cfg), "--seed", "1", "--n", "2"])
+        assert err.value.code == 1
+        _one_error_line(capsys, "error: invalid config JSON: expected an object of option values")
 
     def test_invalid_config_json(self, tmp_path):
         cfg = tmp_path / "run.json"

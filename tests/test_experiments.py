@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rechip import tomography
 from rechip.calibration import HeaterCurve, fit_fringe
 from rechip.chip import BASIS_LABELS, PhaseConfig, coincidence_probs, two_qubit_unitary
 from rechip.experiments import (
+    BELL_PREPS,
     PrepAmplitudes,
     bell_state_suite,
     bell_targets,
@@ -114,6 +118,28 @@ class TestBellSuite:
         for entry in report.entries:
             assert 0.8 < entry.fidelity <= 1.0
             assert entry.error >= 0.0
+        assert report.to_dict()["fits_not_converged"] == 0
+
+    def test_mc_trials_validated(self):
+        with pytest.raises(ValueError, match="mc_trials"):
+            bell_state_suite(rng=np.random.default_rng(2), mc_trials=-3)
+        with pytest.raises(ValueError, match="mc_trials"):
+            mixed_state_suite(n=2, rng=np.random.default_rng(2), mc_trials=-3)
+        with pytest.raises(ValueError, match="mc_trials"):
+            chsh_manifold(rng=np.random.default_rng(2), mc_trials=-3)
+        with pytest.raises(ValueError, match="mc_trials"):
+            chsh_sum(0.0, 0.0, rng=np.random.default_rng(2), mc_trials=-3)
+        # one resample has no spread: no error bars, as with 0 (the CLI rejects --mc-trials 1)
+        report = bell_state_suite(rng=np.random.default_rng(2), mc_trials=1)
+        assert [e.error for e in report.entries] == [0.0] * 4
+
+    def test_fits_not_converged_counts_every_fit(self, monkeypatch):
+        def stopped(fun, x0, **kwargs):
+            return SimpleNamespace(x=x0, fun=fun(x0)[0], success=False, nit=3, message="stopped")
+
+        monkeypatch.setattr(tomography, "minimize", stopped)
+        report = bell_state_suite(noise=NOISE_REF, rng=np.random.default_rng(4), mc_trials=2)
+        assert report.to_dict()["fits_not_converged"] == 4 * 3  # a point fit and two resamples each
 
 
 class TestChsh:
@@ -249,6 +275,11 @@ class TestMixedSuite:
         with pytest.raises(ValueError, match="line 2"):
             read_bloch_targets(path)
 
+    def test_resample_errors(self):
+        report = mixed_state_suite(n=3, noise=NOISE_REF, rng=np.random.default_rng(8), mc_trials=4)
+        assert all(e.error > 0.0 for e in report.entries)
+        assert report.to_dict(include_states=False)["fits_not_converged"] == 0
+
     def test_jobs_invariant(self):
         a = mixed_state_suite(n=6, noise=NOISE_REF, rng=np.random.default_rng(5), jobs=1)
         b = mixed_state_suite(n=6, noise=NOISE_REF, rng=np.random.default_rng(5), jobs=3)
@@ -368,6 +399,21 @@ class TestBatchedDrivers:
         for e, s in zip(exact, sampled):
             assert e.counts(outcomes).sum() == pytest.approx(NOISE_REF.mean_pairs, abs=outcomes)
             assert abs(s.counts(outcomes).sum() - NOISE_REF.mean_pairs) < 6 * np.sqrt(NOISE_REF.mean_pairs)
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_batched_tomography_records_equal_per_preparation_calls(self, qubits, seeded):
+        preps = [prep_config(solve_mixed_prep(r)) for r in load_psi_glyph()[:7]]
+        preps += [PhaseConfig(list(p) + [0.0] * 4) for p in BELL_PREPS.values()]
+        def rngs():
+            return np.random.default_rng(21).spawn(len(preps)) if seeded else None
+
+        settings, batched = tomography_records(preps, NOISE_REF, rngs(), qubits)
+        assert len(batched) == len(preps)
+        for prep, rng, records in zip(preps, rngs() or [None] * len(preps), batched):
+            single_settings, single = tomography_records(prep, NOISE_REF, rng, qubits)
+            assert single_settings == settings
+            assert records == single
 
 
 class TestDeviceProbsProperties:

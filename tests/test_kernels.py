@@ -106,3 +106,27 @@ def test_parameter_count_matches_dimension():
     assert kernels.t_from_params(np.zeros(16), 4).shape == (4, 4)
     with pytest.raises(Exception):
         kernels.t_from_params(np.zeros(15), 4)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_params_from_rho_round_trips_full_rank_states(dim, rng):
+    for _ in range(20):
+        g = random_complex(rng, (dim, dim))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        theta = kernels.params_from_rho(rho)
+        assert np.linalg.norm(theta) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(kernels.rho_from_params(theta, dim) - rho)) < 1e-12
+        # and the other way round, up to the free scale of theta
+        back = kernels.params_from_rho(kernels.rho_from_params(theta, dim))
+        assert np.max(np.abs(back - theta)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_mle_projector_matrix_equals_stack(dim, rng):
+    # the reconstruction passes flattened (K, dim**2) rows; the value and the gradient match the stack
+    theta, projs, counts, totals = _random_mle_problem(rng, dim)
+    v_stack, g_stack = kernels.mle_nll_grad(theta, projs, counts, totals, dim, 1e-12)
+    v_rows, g_rows = kernels.mle_nll_grad(theta, projs.reshape(len(projs), -1), counts, totals, dim, 1e-12)
+    assert v_rows == v_stack
+    assert np.array_equal(g_rows, g_stack)

@@ -1,6 +1,11 @@
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from rechip import kernels, tomography
 from rechip.noise import CountRecord
 from rechip.tomography import (
     MeasurementSetting,
@@ -133,6 +138,84 @@ class TestMle:
         settings = canonical_settings(1)
         with pytest.raises(ValueError):
             mle_reconstruct(settings, [CountRecord("Z", 1, 1)])
+
+    def test_projectors_cached_read_only(self):
+        setting = canonical_settings(2)[4]
+        projs = projectors_of_setting(setting)
+        assert projectors_of_setting(MeasurementSetting(setting.label, setting.angles)) is projs
+        with pytest.raises(ValueError):
+            projs[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_linear_inversion_start_recovers_noiseless_state(self, qubits, rng):
+        # expected counts of a full-rank state: least squares is exact and no eigenvalue is floored
+        dim = 2**qubits
+        settings = canonical_settings(qubits)
+        for _ in range(5):
+            rho = sample_hs_random(dim, rng)
+            if np.linalg.eigvalsh(rho).min() < 2 * tomography.START_EIGEN_FLOOR:
+                continue
+            records = [CountRecord(r.setting, *r.counts()) for r in simulate_counts(settings, rho, 1e6)]
+            pmat, inverse, n, totals, _ = tomography._stack_measurements(settings, records)
+            theta = tomography.linear_inversion_start(inverse, n, totals, dim)
+            assert np.max(np.abs(kernels.rho_from_params(theta, dim) - rho)) < 1e-3
+
+    def test_linear_inversion_start_is_full_rank_for_pure_data(self):
+        records = simulate_counts(canonical_settings(2), BELL, 1e5)
+        _, inverse, n, totals, _ = tomography._stack_measurements(canonical_settings(2), records)
+        rho = kernels.rho_from_params(tomography.linear_inversion_start(inverse, n, totals, 4), 4)
+        w = np.linalg.eigvalsh(rho)
+        assert w.min() == pytest.approx(tomography.START_EIGEN_FLOOR / (1 + 3 * tomography.START_EIGEN_FLOOR),
+                                        rel=1e-6)
+        assert quantum_fidelity(BELL, rho) > 0.99
+
+    def test_linear_inversion_start_projects_unphysical_estimate(self):
+        # every outcome on the + axis of Z, X and Y: least squares gives Bloch vector (1, 1, 1), eigenvalues
+        # (1 +- sqrt 3) / 2; the simplex projection makes them (1, 0) before the floor
+        settings = canonical_settings(1)
+        records = [CountRecord(s.label, 100, 0) for s in settings]
+        _, inverse, n, totals, _ = tomography._stack_measurements(settings, records)
+        rho = kernels.rho_from_params(tomography.linear_inversion_start(inverse, n, totals, 2), 2)
+        floor = tomography.START_EIGEN_FLOOR
+        assert np.allclose(np.linalg.eigvalsh(rho), np.array([floor, 1.0]) / (1.0 + floor), atol=1e-12)
+        assert np.allclose(bloch_of_rho(rho), np.full(3, (1.0 - floor) / (1.0 + floor) / np.sqrt(3)), atol=1e-12)
+
+    def test_warm_start_reaches_the_same_optimum(self, rng):
+        settings = canonical_settings(2)
+        rho = sample_hs_random(4, rng)
+        records = [CountRecord(r.setting, *(int(c) for c in rng.poisson(r.counts())))
+                   for r in simulate_counts(settings, rho, 1e4)]
+        cold = mle_reconstruct(settings, records)
+        warm = mle_reconstruct(settings, records, start=cold.params)
+        assert warm.iterations < cold.iterations
+        assert warm.log_likelihood >= cold.log_likelihood - 1e-10 * abs(cold.log_likelihood)
+        assert abs(1.0 - quantum_fidelity(cold.rho, warm.rho)) <= 1e-6
+
+    def test_converged_is_the_optimizer_status(self, monkeypatch):
+        def stopped(fun, x0, **kwargs):
+            return SimpleNamespace(x=x0, fun=fun(x0)[0], success=False, nit=3,
+                                   message="ABNORMAL_TERMINATION_IN_LNSRCH")
+
+        monkeypatch.setattr(tomography, "minimize", stopped)
+        result = mle_reconstruct(canonical_settings(2), simulate_counts(canonical_settings(2), BELL, 1e4))
+        assert (result.converged, result.iterations) == (False, 3)
+        assert result.message == "ABNORMAL_TERMINATION_IN_LNSRCH"
+
+
+REFERENCE_FITS = json.loads(
+    (Path(__file__).parent / "data" / "mle_reference_fits.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", REFERENCE_FITS, ids=[c["label"] for c in REFERENCE_FITS])
+def test_reference_fits(case):
+    """The likelihood reaches the recorded optimum and rho matches it (see the file's "about")."""
+    settings = canonical_settings(case["qubits"])
+    records = [CountRecord.from_counts(s.label, n) for s, n in zip(settings, case["counts"])]
+    result = mle_reconstruct(settings, records)
+    reference = rho_from_json(json.dumps(case["rho"]))
+    assert result.converged
+    assert result.log_likelihood >= case["log_likelihood"] - 1e-10 * abs(case["log_likelihood"])
+    assert abs(1.0 - quantum_fidelity(reference, result.rho)) <= 1e-6
 
 
 class TestStatisticalFidelity:
@@ -277,6 +360,20 @@ class TestMonteCarloError:
     def test_trials_validated(self, rng):
         with pytest.raises(ValueError):
             monte_carlo_error(self.REC, lambda r: 0.0, 1, rng)
+
+    def test_warm_started_resamples_match_cold(self):
+        settings = canonical_settings(2)
+        records = [CountRecord(r.setting, *(int(c) for c in r.counts()))
+                   for r in simulate_counts(settings, 0.9 * BELL + 0.025 * np.eye(4), 2000)]
+        point = mle_reconstruct(settings, records)
+
+        def fidelity(start):
+            return lambda recs: quantum_fidelity(BELL, mle_reconstruct(settings, recs, start=start).rho)
+
+        cold = monte_carlo_error(records, fidelity(None), 8, np.random.default_rng(7))
+        warm = monte_carlo_error(records, fidelity(point.params), 8, np.random.default_rng(7))
+        assert cold > 0
+        assert abs(warm - cold) <= 1e-6
 
 
 def test_rho_json_roundtrip(rng):
