@@ -46,13 +46,12 @@ validated end to end by :func:`verify_cnot` and the cross-model tests):
   U_CNOT at zero settings (not merely locally equivalent).
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import align_global_phase, tensor
-from .optics import Coupler, Netlist, Phase, compose, pattern_of_pair
+from .optics import Coupler, Netlist, Phase, compose
 from . import kernels
 
 TWO_PI = 2.0 * np.pi
@@ -91,21 +90,8 @@ class PhaseConfig:
     def zeros(cls):
         return cls((0.0,) * 8)
 
-    def phi(self, index):
-        """1-based accessor: phi(1) .. phi(8)."""
-        return self.phis[index - 1]
-
     def as_array(self):
         return np.asarray(self.phis)
-
-    def replace(self, **kwargs):
-        """New config with 1-based keyword overrides, e.g. replace(phi6=0.3)."""
-        phis = list(self.phis)
-        for name, value in kwargs.items():
-            if not name.startswith("phi"):
-                raise ValueError(f"unknown phase {name!r}")
-            phis[int(name[3:]) - 1] = value
-        return PhaseConfig(phis)
 
 
 def phase_batch(config):
@@ -245,29 +231,16 @@ def input_modes(basis_index):
 COINCIDENCE_PAIRS = tuple(np.array(modes) for modes in zip(*(input_modes(k) for k in range(4))))
 
 
-def coincidence_patterns():
-    """The four accepted occupation patterns, in basis order 00, 01, 10, 11."""
-    return tuple(pattern_of_pair(a, b, MODES) for a, b in zip(*COINCIDENCE_PAIRS))
-
-
 def _postselected_block(netlist=None):
     """4x4 postselected two-photon amplitudes of a netlist (columns = basis inputs).
 
     With no netlist, the default netlist at the identity settings of the
-    preparation and measurement stages.
+    preparation and measurement stages.  For the default netlist this is
+    two_qubit_unitary / 3 up to a global phase (postselection success 1/9).
     """
     u = compose(netlist if netlist is not None else default_netlist(PhaseConfig.zeros()))
     columns = [kernels.two_photon_amps(u, *input_modes(k), *COINCIDENCE_PAIRS) for k in range(4)]
     return np.stack(columns, axis=-1)
-
-
-def postselected_map(config):
-    """Postselected two-photon map of the default netlist (columns = basis inputs).
-
-    Equals two_qubit_unitary(config) / 3 up to a global phase; the squared
-    column norms are the postselection successes (1/9 each).
-    """
-    return _postselected_block(default_netlist(config))
 
 
 def verify_cnot(netlist=None):
@@ -329,12 +302,3 @@ def distinguishable_coincidence_probs(config, input_state="00", transfer=None):
     u = transfer_matrices(config) if transfer is None else transfer
     a, b = input_modes(idx)
     return _postselected(config, kernels.distinguishable_probs(np.abs(u) ** 2, a, b, *COINCIDENCE_PAIRS))
-
-
-def config_to_json(config):
-    """PhaseConfig as a JSON array of 8 floats."""
-    return json.dumps(list(config.phis))
-
-
-def config_from_json(text):
-    return PhaseConfig(json.loads(text))

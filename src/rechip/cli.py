@@ -1,9 +1,10 @@
 """Command-line front end.
 
-One subcommand per experiment plus a device self-check.  Every sampling
-command requires --seed; identical command lines (including the seed)
-produce byte-identical outputs regardless of --jobs.  A JSON summary is
-always printed on stdout; --output writes the full report.
+One subcommand per experiment plus a device self-check, each taking only
+the options it reads.  Every sampling command requires --seed; identical
+command lines (including the seed) produce byte-identical outputs whatever
+--jobs is.  A JSON summary is always printed on stdout; --output writes the
+full report.
 
 Exit codes: 0 success, 1 missing/invalid input file, 2 validation failure
 (bad arguments or a failed device check).  A rejected argument value gets a
@@ -26,28 +27,40 @@ SCHEMA = 1
 def _noise_from_args(args):
     if not args.pairs > 0:
         raise ValueError(f"--pairs must be positive, got {args.pairs}")
-    if getattr(args, "exact", False):
+    if args.exact:
         # probability-level run of the ideal device
         return noise.NoiseModel(
             phase_sigma=0.0, indistinguishability=1.0,
             accidental_fraction=0.0, mean_pairs=args.pairs,
         )
+    # hom-dip takes no --phase-sigma or --accidental: the dip reads neither
     return noise.NoiseModel(
-        phase_sigma=args.phase_sigma,
+        phase_sigma=getattr(args, "phase_sigma", 0.0),
         indistinguishability=args.visibility,
-        accidental_fraction=args.accidental,
+        accidental_fraction=getattr(args, "accidental", 0.0),
         mean_pairs=args.pairs,
     )
 
 
 def _mc_trials_from_args(args):
-    if args.mc_trials == 1 or args.mc_trials < 0:
-        raise ValueError(f"--mc-trials must be 0 (no error bars) or at least 2, got {args.mc_trials}")
-    return args.mc_trials
+    trials = args.mc_trials
+    if trials is None:  # bell-suite's default: 25 resamples of a sampled run, none of an exact one
+        return 0 if args.exact else 25
+    if trials == 1 or trials < 0:
+        raise ValueError(f"--mc-trials must be 0 (no error bars) or at least 2, got {trials}")
+    if trials and args.exact:
+        raise ValueError(f"--exact runs have no counts to resample; drop --mc-trials {trials} or --exact")
+    return trials
+
+
+def _jobs_from_args(args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
 
 
 def _rng_from_args(args, parser):
-    if getattr(args, "exact", False):
+    if args.exact:
         return None
     if args.seed is None:
         parser.error(f"{args.command}: --seed is required for sampled runs (or pass --exact)")
@@ -93,18 +106,28 @@ def _emit(args, report_dict, full_text=None):
     print(json.dumps(summary, sort_keys=True))
 
 
-def _add_common(sub, sampling=True):
-    sub.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    sub.add_argument("--jobs", type=int, default=1, help="worker threads (result-invariant)")
+JOBS_CHUNKS = "chunks the sweep runs in, one after another: no threads, never changes results"
+JOBS_NO_EFFECT = "accepted like the sweeps' --jobs but changes nothing here: no threads, same results"
+
+
+def _add_options(sub, csv=False, sampling=False, jobs_help=None, device_noise=True):
+    """--output and --config; --format for a CSV report; for a sampled run --seed, --exact,
+    the noise flags (jitter and accidentals only with device_noise) and --jobs with jobs_help."""
     sub.add_argument("--output", default=None, help="write the full report to this path")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--config", default=None, help="JSON file of default option values")
-    if sampling:
-        sub.add_argument("--exact", action="store_true",
-                         help="probability-level run of the ideal device: no sampling, no noise model")
-    sub.add_argument("--phase-sigma", type=float, default=noise.DEFAULT_PHASE_SIGMA)
+    if csv:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
+    if not sampling:
+        return
+    sub.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    if jobs_help:
+        sub.add_argument("--jobs", type=int, default=1, help=jobs_help)
+    sub.add_argument("--exact", action="store_true",
+                     help="probability-level run of the ideal device: no sampling, no noise model")
+    if device_noise:
+        sub.add_argument("--phase-sigma", type=float, default=noise.DEFAULT_PHASE_SIGMA)
+        sub.add_argument("--accidental", type=float, default=0.0)
     sub.add_argument("--visibility", type=float, default=noise.DEFAULT_INDISTINGUISHABILITY)
-    sub.add_argument("--accidental", type=float, default=0.0)
     sub.add_argument("--pairs", type=float, default=noise.DEFAULT_MEAN_PAIRS)
 
 
@@ -114,41 +137,42 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("verify-chip", help="postselected-CNOT self check")
-    _add_common(p, sampling=False)
+    _add_options(p)
     p.add_argument("--netlist", default=None, help="alternative chip layout (netlist JSON)")
     p.add_argument("--threshold", type=float, default=1e-9)
 
     p = subs.add_parser("benchmark-random", help="random-configuration fidelity benchmark")
-    _add_common(p)
+    _add_options(p, csv=True, sampling=True, jobs_help=JOBS_CHUNKS)
     p.add_argument("--n", type=int, default=995)
 
     p = subs.add_parser("bell-suite", help="prepare and tomograph the four Bell states")
-    _add_common(p)
-    p.add_argument("--mc-trials", type=int, default=25)
+    _add_options(p, sampling=True, jobs_help=JOBS_NO_EFFECT)
+    p.add_argument("--mc-trials", type=int, default=None,
+                   help="resamples per error bar (default 25; none with --exact)")
 
     p = subs.add_parser("chsh-manifold", help="Bell-CHSH sum over the (alpha, beta) grid")
-    _add_common(p)
+    _add_options(p, csv=True, sampling=True, jobs_help=JOBS_CHUNKS)
     p.add_argument("--step", type=float, default=experiments.DEFAULT_MANIFOLD_STEP)
     p.add_argument("--mc-trials", type=int, default=0)
 
     p = subs.add_parser("mixed-suite", help="generate and tomograph mixed qubit-A states")
-    _add_common(p)
+    _add_options(p, sampling=True, jobs_help=JOBS_NO_EFFECT)
     p.add_argument("--n", type=int, default=119)
     p.add_argument("--targets", default=None, help="Bloch-target CSV (header rx,ry,rz)")
     p.add_argument("--glyph", action="store_true", help="use the bundled psi-glyph targets")
     p.add_argument("--mc-trials", type=int, default=0)
 
     p = subs.add_parser("hom-dip", help="two-photon dip against optical delay")
-    _add_common(p)
+    _add_options(p, csv=True, sampling=True, device_noise=False)
     p.add_argument("--delay-max", type=float, default=1600.0, help="scan half-width, fs")
     p.add_argument("--points", type=int, default=81)
 
     p = subs.add_parser("fringe-fit", help="fit a heater fringe CSV (voltage,counts)")
-    _add_common(p, sampling=False)
+    _add_options(p)
     p.add_argument("input", help="fringe CSV file")
 
     p = subs.add_parser("tomo", help="reconstruct a density matrix from a counts CSV")
-    _add_common(p, sampling=False)
+    _add_options(p)
     p.add_argument("input", help="counts CSV file (setting,n00,n01,n10,n11)")
     p.add_argument("--qubits", type=int, choices=(1, 2), default=None,
                    help="inferred from the setting labels when omitted")
@@ -157,24 +181,28 @@ def build_parser():
 
 
 def _apply_config_file(parser, argv):
-    # --config supplies defaults; explicit flags win
+    # --config supplies defaults, keyed by any subcommand's options; explicit flags win
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
     if known.config:
+        subs = [sub for sub_action in parser._subparsers._group_actions
+                for sub in sub_action.choices.values()]
+        dests = [{a.dest for a in sub._actions if a.dest != "help"} for sub in subs]
         try:
             with open(known.config) as fh:
                 defaults = json.load(fh)
             if not isinstance(defaults, dict):
                 raise ValueError("expected an object of option values")
+            unknown = sorted(set(defaults).difference(*dests))
+            if unknown:
+                raise ValueError(f"unknown option {', '.join(map(repr, unknown))}")
         except (OSError, ValueError) as exc:
             what = "cannot read config file" if isinstance(exc, OSError) else "invalid config JSON"
             print(f"error: {what}: {exc}", file=sys.stderr)
             raise SystemExit(1)
-        for sub_action in parser._subparsers._group_actions:
-            for sub in sub_action.choices.values():
-                valid = {a.dest for a in sub._actions}
-                sub.set_defaults(**{k: v for k, v in defaults.items() if k in valid})
+        for sub, valid in zip(subs, dests):
+            sub.set_defaults(**{k: v for k, v in defaults.items() if k in valid})
 
 
 def cmd_verify_chip(args, parser):
@@ -200,7 +228,7 @@ def cmd_verify_chip(args, parser):
 def cmd_benchmark_random(args, parser):
     rng = _rng_from_args(args, parser)
     report = experiments.random_config_benchmark(
-        n=args.n, noise=_noise_from_args(args), rng=rng, exact=args.exact, jobs=args.jobs
+        n=args.n, noise=_noise_from_args(args), rng=rng, exact=args.exact, jobs=_jobs_from_args(args)
     )
     doc = report.to_dict()
     if args.format == "csv":
@@ -214,8 +242,9 @@ def cmd_benchmark_random(args, parser):
 
 def cmd_bell_suite(args, parser):
     rng = _rng_from_args(args, parser)
+    _jobs_from_args(args)  # validated only: the suite runs its fits in order
     report = experiments.bell_state_suite(
-        noise=_noise_from_args(args), rng=rng, mc_trials=_mc_trials_from_args(args), jobs=args.jobs
+        noise=_noise_from_args(args), rng=rng, mc_trials=_mc_trials_from_args(args)
     )
     _emit(args, report.to_dict())
     return 0
@@ -225,7 +254,7 @@ def cmd_chsh_manifold(args, parser):
     rng = _rng_from_args(args, parser)
     grid = experiments.chsh_manifold(
         step=args.step, noise=_noise_from_args(args), rng=rng,
-        mc_trials=_mc_trials_from_args(args), jobs=args.jobs,
+        mc_trials=_mc_trials_from_args(args), jobs=_jobs_from_args(args),
     )
     doc = grid.to_dict()
     if args.format == "csv":
@@ -238,6 +267,7 @@ def cmd_chsh_manifold(args, parser):
 
 def cmd_mixed_suite(args, parser):
     rng = _rng_from_args(args, parser)
+    _jobs_from_args(args)  # validated only: the suite runs its fits in order
     targets = None
     if args.glyph:
         targets = experiments.load_psi_glyph()
@@ -247,7 +277,7 @@ def cmd_mixed_suite(args, parser):
         parser.error("mixed-suite --exact needs --targets or --glyph")
     report = experiments.mixed_state_suite(
         targets=targets, n=args.n, noise=_noise_from_args(args), rng=rng,
-        mc_trials=_mc_trials_from_args(args), jobs=args.jobs,
+        mc_trials=_mc_trials_from_args(args),
     )
     _emit(args, report.to_dict(include_states=False))
     return 0

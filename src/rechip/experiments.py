@@ -2,20 +2,19 @@
 
 Each driver accepts a NoiseModel and a ``numpy.random.Generator`` (or runs
 exactly, probability-level, when the generator is omitted).  Sweeps spawn
-one child generator per task, so results are bit-identical regardless of
-how many workers execute them.
+one child generator per task, so results are bit-identical however the
+sweep is split into chunks.
 
 The device model runs once per batch: a driver draws each configuration's
 random numbers from its own child generator, in the order configuration,
 phase jitter, counts, and evaluates its configurations as one array program
-in between, chunk by contiguous chunk (``jobs`` chunks, more for large
-sweeps).
+in between, chunk by contiguous chunk in order (``jobs`` chunks, more for
+large sweeps).
 """
 
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,27 +55,19 @@ TWO_PI = 2.0 * np.pi
 DEFAULT_MANIFOLD_STEP = TWO_PI / 15.0
 
 
-def _run_indexed(fn, n, jobs):
-    """Evaluate fn(0..n-1) preserving order; jobs > 1 uses a thread pool."""
-    if jobs is None or jobs <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 _MAX_CHUNK = 256  # items per batch: bounds the device model's memory on large sweeps
 
 
 def _run_chunked(fn, n, jobs):
-    """fn(lo, hi) over contiguous chunks of range(n), joined along the last axis.
+    """fn(lo, hi) over contiguous chunks of range(n), in order, joined along the last axis.
 
-    There are `jobs` chunks, or more where a chunk would exceed _MAX_CHUNK items.
+    There are `jobs` chunks (at most n), or more where a chunk would exceed _MAX_CHUNK items.
     """
-    jobs = max(1, min(jobs or 1, n))
-    chunks = max(jobs, -(-n // _MAX_CHUNK))
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    chunks = max(min(jobs, n), -(-n // _MAX_CHUNK))
     bounds = [n * k // chunks for k in range(chunks + 1)]
-    parts = _run_indexed(lambda k: fn(bounds[k], bounds[k + 1]), chunks, jobs)
-    return np.concatenate(parts, axis=-1)
+    return np.concatenate([fn(bounds[k], bounds[k + 1]) for k in range(chunks)], axis=-1)
 
 
 def _spawn(rng, n):
@@ -114,12 +105,6 @@ def prep_config(amps):
     phi3 = 2.0 * np.arctan2(abs(amps.delta), abs(amps.gamma))
     phi4 = np.angle(amps.delta) - np.angle(amps.gamma)
     return PhaseConfig([phi1, phi2, phi3, phi4, 0.0, 0.0, 0.0, 0.0])
-
-
-def post_cnot_state(amps):
-    """Two-qubit amplitudes after the CNOT: (ag, ad, bd, bg) in basis order."""
-    a, b, g, d = amps.alpha, amps.beta, amps.gamma, amps.delta
-    return np.array([a * g, a * d, b * d, b * g], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +182,8 @@ def random_config_benchmark(n=995, noise=None, rng=None, exact=False, jobs=1):
 
     exact=True (or rng=None) skips phase jitter and count sampling, keeping
     only the deterministic parts of the noise model; a noiseless model then
-    gives fidelity 1 up to roundoff.
+    gives fidelity 1 up to roundoff.  jobs (at least 1) sets the number of
+    chunks the sweep runs in; results do not depend on it.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -339,12 +325,12 @@ def bell_targets():
     return {name: np.outer(k, k.conj()).astype(complex) for name, k in _BELL_KETS.items()}
 
 
-def bell_state_suite(noise=None, rng=None, mc_trials=25, jobs=1):
+def bell_state_suite(noise=None, rng=None, mc_trials=25):
     """Prepare the four Bell states, tomograph each and report fidelities.
 
     Error bars come from Poisson resampling of the count records followed by
-    re-reconstruction (mc_trials below 2 disables them; a negative count is a
-    ValueError).
+    re-reconstruction (mc_trials below 2, or an exact run with rng=None,
+    disables them; a negative count is a ValueError).
     """
     _check_mc_trials(mc_trials)
     noise = noise if noise is not None else NoiseModel.noiseless()
@@ -354,12 +340,8 @@ def bell_state_suite(noise=None, rng=None, mc_trials=25, jobs=1):
     preps = [PhaseConfig(list(BELL_PREPS[name]) + [0.0] * 4) for name in names]
     settings, records = tomography_records(preps, noise, None if rng is None else children, qubits=2)
 
-    def one(i):
-        err_rng = children[i] if children[i] is not None else np.random.default_rng(i)
-        name = names[i]
-        return _tomograph(name, settings, records[i], targets[name], mc_trials, err_rng)
-
-    entries = _run_indexed(one, len(names), jobs)
+    entries = [_tomograph(name, settings, recs, targets[name], mc_trials, child)
+               for name, recs, child in zip(names, records, children)]
     return SuiteReport("bell-suite", entries)
 
 
@@ -376,22 +358,13 @@ def chsh_state(alpha):
     return np.array([(1 - z) / 2, 0.0, 0.0, (1 + z) / 2], dtype=complex)
 
 
-def chsh_prep_config(alpha):
-    """Preparation phases generating chsh_state(alpha) through the CNOT.
-
-    The device realises the state with phi1 = pi - alpha and phi2 = pi / 2
-    (the tuning phase enters through the heater offsets, so the dial-to-state
-    relation carries a fixed affine correction).
-    """
-    return PhaseConfig([np.pi - alpha, np.pi / 2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-
-
 _CHSH_SETTINGS = ((0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, -1.0))  # Alice, Bob, sign
 
 
 def _chsh_phases(alphas, betas):
     """(4K, 8) device phases of the four settings at each point (alphas[k], betas[k])."""
     alphas, betas = np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
+    # The preparation phi1 = pi - alpha, phi2 = pi/2 gives chsh_state(alpha).
     # Measurement-stage internal angles sit at pi/2 so the external phases
     # rotate the analysis axis around the equator.  Bob's analyzer azimuth
     # runs opposite to his dial (mirror-image stage), hence the sign.
@@ -480,7 +453,8 @@ class ManifoldGrid:
 
 
 def chsh_manifold(step=DEFAULT_MANIFOLD_STEP, noise=None, rng=None, mc_trials=0, jobs=1):
-    """S(alpha, beta) on a closed grid over [0, 2*pi] x [0, 2*pi]."""
+    """S(alpha, beta) on a closed grid over [0, 2*pi] x [0, 2*pi], run in jobs chunks
+    (at least 1; results do not depend on it)."""
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     _check_mc_trials(mc_trials)
@@ -573,7 +547,7 @@ def reduced_state_of_config(config):
     return partial_trace(np.outer(psi, psi.conj()), keep="A")
 
 
-def mixed_state_suite(targets=None, n=119, noise=None, rng=None, mc_trials=0, jobs=1):
+def mixed_state_suite(targets=None, n=119, noise=None, rng=None, mc_trials=0):
     """Generate mixed single-qubit targets on the chip and tomograph qubit A.
 
     targets: iterable of Bloch vectors; when omitted, n targets are drawn at
@@ -593,11 +567,8 @@ def mixed_state_suite(targets=None, n=119, noise=None, rng=None, mc_trials=0, jo
     preps = [prep_config(solve_mixed_prep(r)) for r in targets]
     settings, records = tomography_records(preps, noise, None if rng is None else children, qubits=1)
 
-    def one(i):
-        target_rho = rho_of_bloch(targets[i])
-        return _tomograph(f"target-{i}", settings, records[i], target_rho, mc_trials, children[i])
-
-    entries = _run_indexed(one, len(targets), jobs)
+    entries = [_tomograph(f"target-{i}", settings, recs, rho_of_bloch(r), mc_trials, child)
+               for i, (r, recs, child) in enumerate(zip(targets, records, children))]
     return SuiteReport("mixed-suite", entries)
 
 

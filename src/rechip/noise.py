@@ -3,7 +3,7 @@
 All sampling goes through an explicitly passed ``numpy.random.Generator``;
 a function that consumes an rng needs exclusive access to it.  Sweeps
 derive independent child generators per task (``rng.spawn``) so results do
-not depend on scheduling.
+not depend on how a sweep is split into batches.
 """
 
 import csv
@@ -91,13 +91,10 @@ class SpectralModel:
 
     center_nm: float = 808.0
     fwhm_nm: float = 3.0
-    shape: str = "gaussian"
 
     def __post_init__(self):
         if self.fwhm_nm <= 0:
             raise ValueError("fwhm must be positive")
-        if self.shape != "gaussian":
-            raise ValueError(f"unsupported lineshape {self.shape!r}")
 
     def coherence_time_fs(self):
         """Gaussian dip width sigma_t = sqrt(ln 2) / (pi * dnu_fwhm).
@@ -144,13 +141,6 @@ def expected_counts(probs, model):
     """
     p = probs.as_array() if hasattr(probs, "as_array") else np.asarray(probs, dtype=float)
     return model.mean_pairs * (p + model.accidental_fraction / p.shape[-1])
-
-
-def sample_counts(probs, model, rng, setting=""):
-    """Independent Poisson draw of each outcome count; deterministic per seed."""
-    lam = expected_counts(probs, model)
-    counts = rng.poisson(lam)
-    return CountRecord(setting, *(int(c) for c in counts))
 
 
 def hom_dip_curve(delays_fs, spectral, v_max):

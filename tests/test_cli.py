@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from rechip.calibration import HeaterCurve, fringe_model, write_fringe_csv
 from rechip.chip import PhaseConfig, default_netlist
 import rechip
-from rechip.cli import main
+from rechip.cli import build_parser, main
 from rechip.noise import write_count_records
 from rechip.optics import Coupler, Netlist, netlist_to_json
 from rechip.tomography import canonical_settings, simulate_counts
@@ -94,6 +95,12 @@ class TestSeedRequirement:
         assert code == 0
         assert json.loads(out)["mean"] > 0.999
 
+    def test_bell_suite_exact_default_has_no_error_bars(self, tmp_path, capsys):
+        path = tmp_path / "bell.json"
+        code, _ = run(["bell-suite", "--exact", "--output", str(path)], capsys)
+        assert code == 0
+        assert [e["error"] for e in json.loads(path.read_text())["entries"]] == [0.0] * 4
+
 
 class TestArgumentValidation:
     """Rejected values exit 2 with one line on stderr, never a traceback or NaN."""
@@ -112,13 +119,31 @@ class TestArgumentValidation:
             ["bell-suite", "--seed", "2", "--mc-trials", "-3"],
             ["mixed-suite", "--n", "2", "--seed", "2", "--mc-trials", "1"],
             ["chsh-manifold", "--seed", "3", "--mc-trials", "1"],
+            ["bell-suite", "--exact", "--mc-trials", "5"],
+            ["chsh-manifold", "--exact", "--mc-trials", "25"],
+            ["mixed-suite", "--exact", "--glyph", "--mc-trials", "5"],
         ],
         ids=["n-zero", "pairs-negative", "visibility-above-one", "step-zero", "sigma-nan", "pairs-zero",
              "mixed-n-zero", "mc-trials-one", "mc-trials-negative", "mixed-mc-trials-one",
-             "manifold-mc-trials-one"],
+             "manifold-mc-trials-one", "bell-exact-mc-trials", "manifold-exact-mc-trials",
+             "mixed-exact-mc-trials"],
     )
     def test_exit_2_with_one_line(self, argv, tmp_path, capsys):
         _assert_exit_2_with_one_line(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["benchmark-random", "--n", "4", "--seed", "1"],
+            ["chsh-manifold", "--exact"],
+            ["bell-suite", "--seed", "2"],
+            ["mixed-suite", "--n", "2", "--seed", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_jobs_below_one(self, argv, jobs, tmp_path, capsys):
+        _assert_exit_2_with_one_line(argv + ["--jobs", jobs], tmp_path, capsys)
 
     def test_header_only_targets(self, tmp_path, capsys):
         path = tmp_path / "targets.csv"
@@ -344,9 +369,76 @@ class TestConfigFile:
         assert err.value.code == 1
         _one_error_line(capsys, "error: invalid config JSON: expected an object of option values")
 
+    def test_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 4, "sead": 9}))
+        with pytest.raises(SystemExit) as err:
+            main(["benchmark-random", "--config", str(cfg), "--seed", "1"])
+        assert err.value.code == 1
+        _one_error_line(capsys, "error: invalid config JSON: unknown option 'sead'")
+
+    def test_key_of_another_subcommand_is_allowed(self, tmp_path, capsys):
+        # one file can serve several commands; verify-chip's threshold applies nowhere else
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 3, "seed": 9, "threshold": 1e-6}))
+        code, out = run(["benchmark-random", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["n"] == 3
+
     def test_invalid_config_json(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text("{not json")
         with pytest.raises(SystemExit) as err:
             main(["benchmark-random", "--config", str(cfg), "--seed", "1", "--n", "2"])
         assert err.value.code == 1
+
+
+class TestSurface:
+    """Each subcommand takes exactly the options its handler reads."""
+
+    EXPECTED = {
+        "verify-chip": {"--output", "--config", "--netlist", "--threshold"},
+        "benchmark-random": {"--output", "--format", "--config", "--seed", "--jobs", "--exact",
+                             "--phase-sigma", "--visibility", "--accidental", "--pairs", "--n"},
+        "bell-suite": {"--output", "--config", "--seed", "--jobs", "--exact",
+                       "--phase-sigma", "--visibility", "--accidental", "--pairs", "--mc-trials"},
+        "chsh-manifold": {"--output", "--format", "--config", "--seed", "--jobs", "--exact",
+                          "--phase-sigma", "--visibility", "--accidental", "--pairs", "--step",
+                          "--mc-trials"},
+        "mixed-suite": {"--output", "--config", "--seed", "--jobs", "--exact",
+                        "--phase-sigma", "--visibility", "--accidental", "--pairs", "--n",
+                        "--targets", "--glyph", "--mc-trials"},
+        "hom-dip": {"--output", "--format", "--config", "--seed", "--exact", "--visibility", "--pairs",
+                    "--delay-max", "--points"},
+        "fringe-fit": {"--output", "--config", "input"},
+        "tomo": {"--output", "--config", "input", "--qubits"},
+    }
+
+    def test_options_per_subcommand(self):
+        subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {a.option_strings[-1] if a.option_strings else a.dest
+                   for a in sub._actions if a.dest != "help"}
+            for name, sub in subs.choices.items()
+        }
+        assert got == self.EXPECTED
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-chip", "--seed", "1"],
+            ["verify-chip", "--format", "csv"],
+            ["fringe-fit", "f.csv", "--pairs", "100"],
+            ["tomo", "f.csv", "--jobs", "2"],
+            ["hom-dip", "--seed", "5", "--phase-sigma", "0.1"],
+            ["hom-dip", "--seed", "5", "--jobs", "2"],
+            ["bell-suite", "--seed", "2", "--format", "csv"],
+            ["mixed-suite", "--seed", "2", "--format", "csv"],
+        ],
+        ids=" ".join,
+    )
+    def test_dropped_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -13,8 +13,8 @@ from rechip.experiments import (
     bell_state_suite,
     bell_targets,
     chsh_extrema,
+    _chsh_phases,
     chsh_manifold,
-    chsh_prep_config,
     chsh_state,
     chsh_sum,
     device_probs,
@@ -22,7 +22,6 @@ from rechip.experiments import (
     hom_scan,
     load_psi_glyph,
     mixed_state_suite,
-    post_cnot_state,
     prep_config,
     r_squared,
     random_config_benchmark,
@@ -66,7 +65,8 @@ class TestPrepConfig:
         for _ in range(50):
             amps = random_amplitudes(rng)
             psi = two_qubit_unitary(prep_config(amps))[:, 0]
-            assert_equal_up_to_phase(psi, post_cnot_state(amps))
+            a, b, g, d = amps.alpha, amps.beta, amps.gamma, amps.delta
+            assert_equal_up_to_phase(psi, np.array([a * g, a * d, b * d, b * g]))
 
     def test_normalisation_enforced(self):
         with pytest.raises(ValueError):
@@ -133,6 +133,11 @@ class TestBellSuite:
         report = bell_state_suite(rng=np.random.default_rng(2), mc_trials=1)
         assert [e.error for e in report.entries] == [0.0] * 4
 
+    def test_exact_run_has_no_error_bars(self):
+        # an exact run has no counts to resample, whatever mc_trials asks for
+        report = bell_state_suite(rng=None, mc_trials=5)
+        assert [e.error for e in report.entries] == [0.0] * 4
+
     def test_fits_not_converged_counts_every_fit(self, monkeypatch):
         def stopped(fun, x0, **kwargs):
             return SimpleNamespace(x=x0, fun=fun(x0)[0], success=False, nit=3, message="stopped")
@@ -160,7 +165,9 @@ class TestChsh:
 
     def test_state_matches_device(self, rng):
         for alpha in list(rng.uniform(0, TWO_PI, 10)) + [0.0, np.pi / 2]:
-            psi = two_qubit_unitary(chsh_prep_config(alpha))[:, 0]
+            phis = _chsh_phases([alpha], [0.0])[0]
+            phis[4:] = 0.0  # the preparation row, measurement phases zeroed
+            psi = two_qubit_unitary(PhaseConfig(phis))[:, 0]
             assert_equal_up_to_phase(psi, chsh_state(alpha))
 
     def test_product_state_respects_bound(self):
@@ -280,11 +287,6 @@ class TestMixedSuite:
         assert all(e.error > 0.0 for e in report.entries)
         assert report.to_dict(include_states=False)["fits_not_converged"] == 0
 
-    def test_jobs_invariant(self):
-        a = mixed_state_suite(n=6, noise=NOISE_REF, rng=np.random.default_rng(5), jobs=1)
-        b = mixed_state_suite(n=6, noise=NOISE_REF, rng=np.random.default_rng(5), jobs=3)
-        assert np.array_equal(a.fidelities, b.fidelities)
-
 
 class TestHomScan:
     def test_full_visibility_zero_at_origin(self):
@@ -384,6 +386,13 @@ class TestBatchedDrivers:
             i, j = divmod(k, grid.s.shape[1])
             s, std = chsh_sum(grid.alphas[i], grid.betas[j], NOISE_REF, child, mc_trials=4)
             assert (s, std) == (grid.s[i, j], grid.std[i, j])
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            random_config_benchmark(5, NOISE_REF, np.random.default_rng(1), jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            chsh_manifold(TWO_PI / 4, jobs=jobs)
 
     def test_nan_step_rejected(self):
         with pytest.raises(ValueError, match="step"):
