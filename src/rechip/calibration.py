@@ -10,7 +10,6 @@ I(V) = A (1 - C cos^2(phi(V)/2)) over all six parameters.
 """
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +35,9 @@ class HeaterCurve:
     def phase(self, v):
         return self.a0 + self.a2 * v**2 + self.a3 * v**3 + self.a4 * v**4
 
-    def is_monotone(self, samples=400):
-        """Strictly increasing phase on (0, V_MAX]."""
-        v = np.linspace(V_MIN, V_MAX, samples)
+    def is_monotone(self):
+        """Strictly increasing phase on (0, V_MAX], checked at 400 voltages."""
+        v = np.linspace(V_MIN, V_MAX, 400)
         dphi = 2 * self.a2 * v + 3 * self.a3 * v**2 + 4 * self.a4 * v**3
         return bool(np.all(dphi[1:] > 0.0))
 
@@ -116,7 +115,7 @@ def _initial_guesses(volts, counts):
     return [np.array([amp, contrast, 0.0, a2, 0.0, 0.0]) for a2 in dict.fromkeys(a2_seeds)]
 
 
-def fit_fringe(samples, max_nfev=20000):
+def fit_fringe(samples):
     """Nonlinear least-squares fit of (A, C, a0, a2, a3, a4) to fringe samples.
 
     samples: sequence of (voltage, counts) pairs, at least 20, spanning at
@@ -147,7 +146,7 @@ def fit_fringe(samples, max_nfev=20000):
     result = None
     for x0 in _initial_guesses(volts, counts):
         candidate = least_squares(
-            residuals, x0, bounds=(lower, upper), max_nfev=max_nfev,
+            residuals, x0, bounds=(lower, upper), max_nfev=20000,
             xtol=1e-15, ftol=1e-15, gtol=1e-15,
         )
         if result is None or candidate.cost < result.cost:
@@ -180,18 +179,3 @@ def write_fringe_csv(path, samples):
         writer.writerow(FRINGE_HEADER)
         for v, n in samples:
             writer.writerow([repr(float(v)), repr(float(n))])
-
-
-def fit_to_json(fit):
-    return json.dumps(
-        {
-            "A": fit.amplitude,
-            "C": fit.contrast,
-            "a0": fit.curve.a0,
-            "a2": fit.curve.a2,
-            "a3": fit.curve.a3,
-            "a4": fit.curve.a4,
-            "rms": fit.rms_residual,
-        },
-        sort_keys=True,
-    )

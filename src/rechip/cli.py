@@ -3,8 +3,9 @@
 One subcommand per experiment plus a device self-check, each taking only
 the options it reads.  Every sampling command requires --seed; identical
 command lines (including the seed) produce byte-identical outputs whatever
---jobs is.  A JSON summary is always printed on stdout; --output writes the
-full report.
+--jobs is.  Each handler returns its report and one writer emits it: the
+report's scalar fields as JSON on stdout, and with --output the full report
+(JSON, or CSV rows under --format csv).
 
 Exit codes: 0 success, 1 missing/invalid input file, 2 validation failure
 (bad arguments or a failed device check).  A rejected argument value gets a
@@ -12,6 +13,8 @@ one-line diagnostic on stderr.
 """
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -59,11 +62,11 @@ def _jobs_from_args(args):
     return args.jobs
 
 
-def _rng_from_args(args, parser):
+def _rng_from_args(args):
     if args.exact:
         return None
     if args.seed is None:
-        parser.error(f"{args.command}: --seed is required for sampled runs (or pass --exact)")
+        raise ValueError("--seed is required for sampled runs (or pass --exact)")
     return np.random.default_rng(args.seed)
 
 
@@ -92,18 +95,22 @@ def _read_netlist(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _write_output(args, text):
+def _emit(args, doc, table):
+    """Write a handler's report: its scalar fields as JSON on stdout, and to --output
+    the full document as sorted JSON, or under --format csv the (header, rows) table.
+    A non-finite number in the JSON raises ValueError before anything is written."""
+    if getattr(args, "format", "json") == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows([table[0], *table[1]])
+        text = buf.getvalue()
+    else:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    summary = {k: v for k, v in doc.items() if not isinstance(v, (list, dict))}
+    summary_text = json.dumps(summary, sort_keys=True, allow_nan=False)
     if args.output:
-        with open(args.output, "w") as fh:
+        with open(args.output, "w", newline="") as fh:
             fh.write(text)
-
-
-def _emit(args, report_dict, full_text=None):
-    payload = json.dumps(report_dict, sort_keys=True)
-    _write_output(args, payload if full_text is None else full_text)
-    summary = {k: v for k, v in report_dict.items() if not isinstance(v, (list, dict))}
-    summary["schema"] = SCHEMA
-    print(json.dumps(summary, sort_keys=True))
+    print(summary_text)
 
 
 JOBS_CHUNKS = "chunks the sweep runs in, one after another: no threads, never changes results"
@@ -180,6 +187,23 @@ def build_parser():
     return parser
 
 
+def _config_value(key, action, value):
+    """A --config value checked as its flag's would be: a switch takes true or false, any
+    other option a string (or a number, if it has a type) through its type and choices."""
+    try:
+        if isinstance(action, argparse._StoreTrueAction):
+            if isinstance(value, bool):
+                return value
+        elif isinstance(value, str) or (action.type and type(value) in (int, float)):
+            value = action.type(str(value)) if action.type else value
+            if action.choices is None or value in action.choices:
+                return value
+        choices = f" (choose from {', '.join(map(str, action.choices))})" if action.choices else ""
+        raise ValueError(f"invalid value {json.dumps(value)}{choices}")
+    except ValueError as exc:
+        raise ValueError(f"option {key!r}: {exc}") from None
+
+
 def _apply_config_file(parser, argv):
     # --config supplies defaults, keyed by any subcommand's options; explicit flags win
     probe = argparse.ArgumentParser(add_help=False)
@@ -188,28 +212,31 @@ def _apply_config_file(parser, argv):
     if known.config:
         subs = [sub for sub_action in parser._subparsers._group_actions
                 for sub in sub_action.choices.values()]
-        dests = [{a.dest for a in sub._actions if a.dest != "help"} for sub in subs]
+        actions = [{a.dest: a for a in sub._actions if a.dest != "help"} for sub in subs]
         try:
             with open(known.config) as fh:
                 defaults = json.load(fh)
             if not isinstance(defaults, dict):
                 raise ValueError("expected an object of option values")
-            unknown = sorted(set(defaults).difference(*dests))
+            unknown = sorted(set(defaults).difference(*actions))
             if unknown:
                 raise ValueError(f"unknown option {', '.join(map(repr, unknown))}")
+            values = [{k: _config_value(k, acts[k], v) for k, v in defaults.items() if k in acts}
+                      for acts in actions]
         except (OSError, ValueError) as exc:
             what = "cannot read config file" if isinstance(exc, OSError) else "invalid config JSON"
             print(f"error: {what}: {exc}", file=sys.stderr)
             raise SystemExit(1)
-        for sub, valid in zip(subs, dests):
-            sub.set_defaults(**{k: v for k, v in defaults.items() if k in valid})
+        for sub, checked in zip(subs, values):
+            sub.set_defaults(**checked)
 
 
-def cmd_verify_chip(args, parser):
+def cmd_verify_chip(args):
     netlist = _read_input(_read_netlist, args.netlist) if args.netlist else None
     defect = verify_cnot(netlist)
     successes = cnot_success_probs(netlist)
-    report = {
+    shown = netlist if netlist is not None else default_netlist(PhaseConfig.zeros())
+    return {
         "schema": SCHEMA,
         "experiment": "verify-chip",
         "defect": defect,
@@ -217,56 +244,40 @@ def cmd_verify_chip(args, parser):
         "success_probability": float(successes.mean()),
         "threshold": args.threshold,
         "passed": bool(defect < args.threshold),
-        "netlist": json.loads(
-            netlist_to_json(netlist if netlist is not None else default_netlist(PhaseConfig.zeros()))
-        ),
-    }
-    _emit(args, report)
-    return 0 if report["passed"] else 2
+        "netlist": json.loads(netlist_to_json(shown)),
+    }, None
 
 
-def cmd_benchmark_random(args, parser):
-    rng = _rng_from_args(args, parser)
+def cmd_benchmark_random(args):
+    rng = _rng_from_args(args)
     report = experiments.random_config_benchmark(
         n=args.n, noise=_noise_from_args(args), rng=rng, exact=args.exact, jobs=_jobs_from_args(args)
     )
-    doc = report.to_dict()
-    if args.format == "csv":
-        lines = ["index,fidelity"] + [f"{i},{f!r}" for i, f in enumerate(report.fidelities)]
-        _write_output(args, "\n".join(lines) + "\n")
-        print(json.dumps({k: v for k, v in doc.items() if not isinstance(v, list)}, sort_keys=True))
-        return 0
-    _emit(args, doc)
-    return 0
+    return report.to_dict(), (["index", "fidelity"], enumerate(report.fidelities.tolist()))
 
 
-def cmd_bell_suite(args, parser):
-    rng = _rng_from_args(args, parser)
+def cmd_bell_suite(args):
+    rng = _rng_from_args(args)
     _jobs_from_args(args)  # validated only: the suite runs its fits in order
     report = experiments.bell_state_suite(
         noise=_noise_from_args(args), rng=rng, mc_trials=_mc_trials_from_args(args)
     )
-    _emit(args, report.to_dict())
-    return 0
+    return report.to_dict(), None
 
 
-def cmd_chsh_manifold(args, parser):
-    rng = _rng_from_args(args, parser)
+def cmd_chsh_manifold(args):
+    rng = _rng_from_args(args)
     grid = experiments.chsh_manifold(
         step=args.step, noise=_noise_from_args(args), rng=rng,
         mc_trials=_mc_trials_from_args(args), jobs=_jobs_from_args(args),
     )
-    doc = grid.to_dict()
-    if args.format == "csv":
-        _write_output(args, grid.to_csv())
-        print(json.dumps({k: v for k, v in doc.items() if not isinstance(v, list)}, sort_keys=True))
-        return 0
-    _emit(args, doc)
-    return 0
+    alphas, betas = np.meshgrid(grid.alphas, grid.betas, indexing="ij")
+    rows = np.column_stack([alphas.ravel(), betas.ravel(), grid.s.ravel(), grid.std.ravel()]).tolist()
+    return grid.to_dict(), (["alpha", "beta", "S", "std"], rows)
 
 
-def cmd_mixed_suite(args, parser):
-    rng = _rng_from_args(args, parser)
+def cmd_mixed_suite(args):
+    rng = _rng_from_args(args)
     _jobs_from_args(args)  # validated only: the suite runs its fits in order
     targets = None
     if args.glyph:
@@ -274,46 +285,29 @@ def cmd_mixed_suite(args, parser):
     elif args.targets:
         targets = _read_input(experiments.read_bloch_targets, args.targets)
     if targets is None and rng is None:
-        parser.error("mixed-suite --exact needs --targets or --glyph")
+        raise ValueError("--exact needs --targets or --glyph")
     report = experiments.mixed_state_suite(
         targets=targets, n=args.n, noise=_noise_from_args(args), rng=rng,
         mc_trials=_mc_trials_from_args(args),
     )
-    _emit(args, report.to_dict(include_states=False))
-    return 0
+    return report.to_dict(include_states=False), None
 
 
-def cmd_hom_dip(args, parser):
-    rng = _rng_from_args(args, parser)
+def cmd_hom_dip(args):
+    rng = _rng_from_args(args)
     delays = np.linspace(-args.delay_max, args.delay_max, args.points)
     scan = experiments.hom_scan(delays, noise=_noise_from_args(args), rng=rng)
-    doc = scan.to_dict()
-    if args.format == "csv":
-        lines = ["delay_fs,expected,counts"] + [
-            f"{d!r},{e!r},{c!r}"
-            for d, e, c in zip(scan.delays_fs, scan.expected, scan.counts)
-        ]
-        _write_output(args, "\n".join(lines) + "\n")
-        print(json.dumps({"schema": SCHEMA, "visibility": scan.visibility}, sort_keys=True))
-        return 0
-    _emit(args, doc)
-    return 0
+    rows = zip(scan.delays_fs.tolist(), scan.expected.tolist(), scan.counts.tolist())
+    return scan.to_dict(), (["delay_fs", "expected", "counts"], rows)
 
 
-def cmd_fringe_fit(args, parser):
-    samples = _read_input(calibration.read_fringe_csv, args.input)
-    try:
-        fit = calibration.fit_fringe(samples)
-    except (ValueError, calibration.CalibrationError) as exc:
-        print(f"error: fit failed: {exc}", file=sys.stderr)
-        return 2
-    text = calibration.fit_to_json(fit)
-    _write_output(args, text)
-    print(text)
-    return 0
+def cmd_fringe_fit(args):
+    fit = calibration.fit_fringe(_read_input(calibration.read_fringe_csv, args.input))
+    return {"schema": SCHEMA, "experiment": "fringe-fit", "A": fit.amplitude, "C": fit.contrast,
+            "rms": fit.rms_residual, **vars(fit.curve)}, None
 
 
-def cmd_tomo(args, parser):
+def cmd_tomo(args):
     records = _read_input(noise.read_count_records, args.input)
     if not records:
         raise InputFileError(f"{args.input}: no count records")
@@ -324,7 +318,7 @@ def cmd_tomo(args, parser):
     if missing:
         raise InputFileError(f"{args.input}: missing settings {missing}")
     result = tomography.mle_reconstruct(settings, [by_label[s.label] for s in settings])
-    report = {
+    return {
         "schema": SCHEMA,
         "experiment": "tomo",
         "qubits": qubits,
@@ -333,9 +327,7 @@ def cmd_tomo(args, parser):
         "iterations": result.iterations,
         "converged": result.converged,
         "message": result.message,
-    }
-    _emit(args, report)
-    return 0
+    }, None
 
 
 _HANDLERS = {
@@ -356,13 +348,15 @@ def main(argv=None):
     _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args, parser)
+        doc, table = _HANDLERS[args.command](args)
+        _emit(args, doc, table)
     except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, calibration.CalibrationError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
+    return 2 if doc.get("passed") is False else 0
 
 
 if __name__ == "__main__":

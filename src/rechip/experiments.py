@@ -12,8 +12,6 @@ in between, chunk by contiguous chunk in order (``jobs`` chunks, more for
 large sweeps).
 """
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -440,16 +438,6 @@ class ManifoldGrid:
             "max": float(self.s.max()),
             "min": float(self.s.min()),
         }
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["alpha", "beta", "S", "std"])
-        for i, a in enumerate(self.alphas):
-            for j, b in enumerate(self.betas):
-                writer.writerow([repr(float(a)), repr(float(b)),
-                                 repr(float(self.s[i, j])), repr(float(self.std[i, j]))])
-        return buf.getvalue()
 
 
 def chsh_manifold(step=DEFAULT_MANIFOLD_STEP, noise=None, rng=None, mc_trials=0, jobs=1):

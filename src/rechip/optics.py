@@ -110,15 +110,8 @@ def compose(netlist):
 
 @lru_cache(maxsize=8)
 def two_photon_pairs(modes):
-    """All two-photon patterns as ordered mode pairs (i <= j), plus an index map."""
-    out_i, out_j = [], []
-    index = {}
-    for i in range(modes):
-        for j in range(i, modes):
-            index[(i, j)] = len(out_i)
-            out_i.append(i)
-            out_j.append(j)
-    return np.asarray(out_i, dtype=np.int64), np.asarray(out_j, dtype=np.int64), index
+    """All two-photon patterns as ordered mode pairs (i <= j): the arrays of first and second modes."""
+    return np.triu_indices(modes)
 
 
 def pattern_of_pair(i, j, modes):
@@ -154,7 +147,7 @@ def two_photon_distribution(u, input_state):
     """Probabilities over every two-photon output pattern (sums to 1)."""
     u = np.asarray(u, dtype=complex)
     a, b = pair_of_pattern(input_state)
-    out_i, out_j, _ = two_photon_pairs(u.shape[0])
+    out_i, out_j = two_photon_pairs(u.shape[0])
     amps = kernels.two_photon_amps(u, a, b, out_i, out_j)
     probs = np.abs(amps) ** 2
     modes = u.shape[0]
@@ -173,7 +166,7 @@ def distinguishable_distribution(u, input_state):
     u = np.asarray(u, dtype=complex)
     a, b = pair_of_pattern(input_state)
     pu = np.abs(u) ** 2
-    out_i, out_j, _ = two_photon_pairs(u.shape[0])
+    out_i, out_j = two_photon_pairs(u.shape[0])
     probs = kernels.distinguishable_probs(pu, a, b, out_i, out_j)
     modes = u.shape[0]
     return {

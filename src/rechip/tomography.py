@@ -81,18 +81,18 @@ def minimize(fun, x0, **kwargs):
     return scipy_minimize(fun, x0, **kwargs)
 
 
-def check_density(rho, herm_tol=1e-10, trace_tol=1e-10, eig_tol=1e-9):
-    """Validate Hermiticity, unit trace and positivity; returns rho unchanged."""
+def check_density(rho):
+    """Validate Hermiticity and trace 1 to 1e-10 and eigenvalues above -1e-9; returns rho unchanged."""
     rho = np.asarray(rho, dtype=complex)
     defect = np.max(np.abs(rho - rho.conj().T))
-    if defect > herm_tol:
+    if defect > 1e-10:
         raise ValueError(f"density matrix not Hermitian (defect {defect:.2e})")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"density matrix trace {tr} != 1")
     wmin = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if wmin < -eig_tol:
-        raise ValueError(f"density matrix has eigenvalue {wmin:.2e} < -{eig_tol}")
+    if wmin < -1e-9:
+        raise ValueError(f"density matrix has eigenvalue {wmin:.2e} < -1e-09")
     return rho
 
 
@@ -178,7 +178,7 @@ def linear_inversion_start(inverse, counts, totals, dim):
     return kernels.params_from_rho((vecs * lam) @ vecs.conj().T)
 
 
-def mle_reconstruct(settings, counts, max_iter=5000, ftol=1e-13, start=None):
+def mle_reconstruct(settings, counts, start=None):
     """Maximum-likelihood density matrix from per-setting count records.
 
     The search starts from ``start`` (parameters of an earlier fit, e.g.
@@ -201,7 +201,7 @@ def mle_reconstruct(settings, counts, max_iter=5000, ftol=1e-13, start=None):
         theta0,
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": ftol, "gtol": 1e-12, "maxcor": 20},
+        options={"maxiter": 5000, "ftol": 1e-13, "gtol": 1e-12, "maxcor": 20},
     )
     rho = kernels.rho_from_params(result.x, dim)
     # Hermitise exactly; the parameterisation already guarantees PSD and trace 1

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,13 @@ from rechip.calibration import (
     CalibrationError,
     HeaterCurve,
     fit_fringe,
-    fit_to_json,
     fringe_model,
     phase_of_voltage,
     read_fringe_csv,
     voltage_of_phase,
     write_fringe_csv,
 )
+from rechip.cli import main
 
 CURVE = HeaterCurve(a0=0.3, a2=0.35, a3=0.01, a4=-0.0008)
 
@@ -149,9 +151,10 @@ class TestFringeFiles:
         with pytest.raises(ValueError, match="line 3"):
             read_fringe_csv(path)
 
-    def test_fit_json_fields(self):
-        fit = fit_fringe(synthetic_fringe(CURVE, 1000.0, 0.9))
-        import json
-
-        doc = json.loads(fit_to_json(fit))
-        assert set(doc) == {"A", "C", "a0", "a2", "a3", "a4", "rms"}
+    def test_fit_json_fields(self, tmp_path, capsys):
+        path, out = tmp_path / "fringe.csv", tmp_path / "fit.json"
+        write_fringe_csv(path, synthetic_fringe(CURVE, 1000.0, 0.9))
+        assert main(["fringe-fit", str(path), "--output", str(out)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"A", "C", "a0", "a2", "a3", "a4", "rms", "experiment", "schema"}

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -67,12 +68,11 @@ class TestSeedRequirement:
             ["bell-suite"],
             ["chsh-manifold"],
             ["hom-dip"],
+            ["mixed-suite", "--exact"],  # an exact suite has no random targets to draw
         ],
     )
-    def test_sampling_commands_require_seed(self, argv):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 2
+    def test_sampling_commands_require_seed(self, argv, tmp_path, capsys):
+        _assert_exit_2_with_one_line(argv, tmp_path, capsys)
 
     def test_exact_mode_needs_no_seed(self, capsys):
         code, out = run(
@@ -392,6 +392,32 @@ class TestConfigFile:
             main(["benchmark-random", "--config", str(cfg), "--seed", "1", "--n", "2"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize(
+        "values, key",
+        [
+            ({"exact": "no"}, "exact"),
+            ({"seed": [1]}, "seed"),
+            ({"format": "xml"}, "format"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": 1, "pairs": None}, "pairs"),
+        ],
+        ids=["switch-not-bool", "seed-list", "format-not-a-choice", "seed-not-int", "pairs-null"],
+    )
+    def test_value_checked_like_its_flag(self, values, key, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 3, **values}))
+        with pytest.raises(SystemExit) as err:
+            main(["benchmark-random", "--config", str(cfg)])
+        assert err.value.code == 1
+        _one_error_line(capsys, f"error: invalid config JSON: option {key!r}: ")
+
+    def test_valid_seed_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        code, out = run(["benchmark-random", "--n", "3", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["n"] == 3
+
 
 class TestSurface:
     """Each subcommand takes exactly the options its handler reads."""
@@ -442,3 +468,67 @@ class TestSurface:
             main(argv)
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestReportContract:
+    """Every subcommand reports through one writer: one JSON summary line on stdout
+    carrying schema and experiment, strict JSON (no NaN or Infinity) in --output, and
+    plain numbers in every CSV data field."""
+
+    ARGS = {
+        "verify-chip": [],
+        "benchmark-random": ["--n", "4", "--seed", "1"],
+        "bell-suite": ["--seed", "2", "--mc-trials", "0"],
+        "chsh-manifold": ["--exact", "--step", "2.0943951023931953"],
+        "mixed-suite": ["--n", "2", "--seed", "2"],
+        "hom-dip": ["--seed", "5", "--points", "11"],
+        "fringe-fit": ["fringe.csv"],
+        "tomo": ["counts.csv"],
+    }
+    CSV = ("benchmark-random", "chsh-manifold", "hom-dip")
+
+    def _argv(self, command, tmp_path):
+        curve = HeaterCurve(0.2, 0.4, 0.005, -0.0005)
+        volts = np.linspace(0, 7, 60)
+        write_fringe_csv(tmp_path / "fringe.csv", list(zip(volts, fringe_model(5000.0, 0.97, curve, volts))))
+        write_count_records(tmp_path / "counts.csv", simulate_counts(canonical_settings(1), np.eye(2) / 2, 1e3))
+        return [command] + [str(tmp_path / a) if a.endswith(".csv") else a for a in self.ARGS[command]]
+
+    def _summary(self, out, command):
+        lines = out.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert isinstance(doc, dict)
+        assert (doc["schema"], doc["experiment"]) == (1, command)
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_json_report(self, command, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        code, out = run(self._argv(command, tmp_path) + ["--output", str(path)], capsys)
+        assert code == 0
+        self._summary(out, command)
+        text = path.read_text()
+        assert "np." not in text
+
+        def reject(name):
+            raise AssertionError(f"non-finite {name} in the report")
+
+        doc = json.loads(text, parse_constant=reject)
+        assert (doc["schema"], doc["experiment"]) == (1, command)
+
+    @pytest.mark.parametrize("command", CSV)
+    def test_csv_report(self, command, tmp_path, capsys):
+        path = tmp_path / "report.csv"
+        code, out = run(self._argv(command, tmp_path) + ["--format", "csv", "--output", str(path)], capsys)
+        assert code == 0
+        self._summary(out, command)
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows)
+        for row in rows:
+            for field in row:
+                float(field)
+
+    def test_non_finite_number_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(rechip.cli, "verify_cnot", lambda netlist: float("nan"))
+        _assert_exit_2_with_one_line(["verify-chip"], tmp_path, capsys)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from rechip import tomography
 from rechip.calibration import HeaterCurve, fit_fringe
 from rechip.chip import BASIS_LABELS, PhaseConfig, coincidence_probs, two_qubit_unitary
+from rechip.cli import main
 from rechip.experiments import (
     BELL_PREPS,
     PrepAmplitudes,
@@ -205,10 +206,13 @@ class TestChsh:
         grid = chsh_manifold()
         assert np.any(np.abs(grid.s) > 2.0)
 
-    def test_csv_format(self):
+    def test_csv_format(self, tmp_path, capsys):
         grid = chsh_manifold(step=TWO_PI / 3)
-        text = grid.to_csv()
-        lines = text.strip().splitlines()
+        path = tmp_path / "grid.csv"
+        argv = ["chsh-manifold", "--exact", "--step", repr(TWO_PI / 3), "--format", "csv", "--output", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        lines = path.read_text().strip().splitlines()
         assert lines[0] == "alpha,beta,S,std"
         assert len(lines) == 1 + grid.s.size
 

@@ -1,7 +1,9 @@
 """Seeded CLI outputs stay byte-identical.
 
 The files under data/golden/ are the full --output reports of small seeded
-device-model runs, recorded before the device model was batched.  A change
+device-model runs: the benchmark and sampled-manifold files were recorded
+before the device model was batched, the exact-manifold CSV, HOM-dip and
+verify-chip files before every report went through one writer.  A change
 that moves any byte of them changes seeded results and must say so.  The
 last digits depend on the platform's floating-point kernels (numpy's SIMD
 loops and BLAS), so a mismatch on a different machine is not by itself a
@@ -22,6 +24,9 @@ CASES = {
     "benchmark_random_n40_exact.json": ["benchmark-random", "--n", "40", "--exact"],
     "chsh_manifold_exact_step5.json": ["chsh-manifold", "--exact", "--step", STEP],
     "chsh_manifold_seed3_mc5_step5.json": ["chsh-manifold", "--seed", "3", "--mc-trials", "5", "--step", STEP],
+    "chsh_manifold_exact_step5.csv": ["chsh-manifold", "--exact", "--step", STEP, "--format", "csv"],
+    "hom_dip_seed5.json": ["hom-dip", "--seed", "5"],
+    "verify_chip.json": ["verify-chip"],
 }
 
 

@@ -22,7 +22,7 @@ def distinguishable_by_routes(pu, a, b, out_i, out_j):
 
 
 def test_two_photon_paths_agree(rng):
-    out_i, out_j, _ = two_photon_pairs(6)
+    out_i, out_j = two_photon_pairs(6)
     for _ in range(20):
         u = random_unitary(rng, 6)
         for a, b in ((0, 3), (2, 2)):
@@ -33,7 +33,7 @@ def test_two_photon_paths_agree(rng):
 
 
 def test_distinguishable_paths_agree(rng):
-    out_i, out_j, _ = two_photon_pairs(6)
+    out_i, out_j = two_photon_pairs(6)
     for _ in range(20):
         pu = np.abs(random_unitary(rng, 6)) ** 2
         for a, b in ((1, 4), (3, 3)):
@@ -43,7 +43,7 @@ def test_distinguishable_paths_agree(rng):
 
 
 def test_batched_numpy_forms_equal_stacked_single_calls(rng):
-    out_i, out_j, _ = two_photon_pairs(6)
+    out_i, out_j = two_photon_pairs(6)
     u = np.array([random_unitary(rng, 6) for _ in range(64)])
     pu = np.abs(u) ** 2
     for a, b in ((1, 3), (2, 2)):
