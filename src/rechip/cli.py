@@ -146,7 +146,7 @@ def build_parser():
     p = subs.add_parser("verify-chip", help="postselected-CNOT self check")
     _add_options(p)
     p.add_argument("--netlist", default=None, help="alternative chip layout (netlist JSON)")
-    p.add_argument("--threshold", type=float, default=1e-9)
+    p.add_argument("--threshold", type=float, default=1e-9, help="largest passing defect (positive)")
 
     p = subs.add_parser("benchmark-random", help="random-configuration fidelity benchmark")
     _add_options(p, csv=True, sampling=True, jobs_help=JOBS_CHUNKS)
@@ -159,7 +159,9 @@ def build_parser():
 
     p = subs.add_parser("chsh-manifold", help="Bell-CHSH sum over the (alpha, beta) grid")
     _add_options(p, csv=True, sampling=True, jobs_help=JOBS_CHUNKS)
-    p.add_argument("--step", type=float, default=experiments.DEFAULT_MANIFOLD_STEP)
+    p.add_argument("--step", type=float, default=experiments.DEFAULT_MANIFOLD_STEP,
+                   help=f"grid spacing in rad; at least 2*pi/{experiments.MAX_MANIFOLD_SIDE - 1} "
+                        f"({experiments.MAX_MANIFOLD_SIDE} points per axis)")
     p.add_argument("--mc-trials", type=int, default=0)
 
     p = subs.add_parser("mixed-suite", help="generate and tomograph mixed qubit-A states")
@@ -232,6 +234,8 @@ def _apply_config_file(parser, argv):
 
 
 def cmd_verify_chip(args):
+    if not 0 < args.threshold < np.inf:
+        raise ValueError(f"--threshold must be a positive finite number, got {args.threshold}")
     netlist = _read_input(_read_netlist, args.netlist) if args.netlist else None
     defect = verify_cnot(netlist)
     successes = cnot_success_probs(netlist)

@@ -51,6 +51,7 @@ from .tomography import (
 
 TWO_PI = 2.0 * np.pi
 DEFAULT_MANIFOLD_STEP = TWO_PI / 15.0
+MAX_MANIFOLD_SIDE = 1001  # grid points per axis: a step of at least 2*pi/1000
 
 
 _MAX_CHUNK = 256  # items per batch: bounds the device model's memory on large sweeps
@@ -442,12 +443,16 @@ class ManifoldGrid:
 
 def chsh_manifold(step=DEFAULT_MANIFOLD_STEP, noise=None, rng=None, mc_trials=0, jobs=1):
     """S(alpha, beta) on a closed grid over [0, 2*pi] x [0, 2*pi], run in jobs chunks
-    (at least 1; results do not depend on it)."""
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
+    (at least 1; results do not depend on it).  A grid of more than
+    MAX_MANIFOLD_SIDE points per axis is a ValueError."""
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    npts = int(np.floor(TWO_PI / step + 1e-9)) + 1
+    if npts > MAX_MANIFOLD_SIDE:
+        raise ValueError(f"step {step} gives a {npts} x {npts} grid ({npts * npts} points), "
+                         f"more than {MAX_MANIFOLD_SIDE} x {MAX_MANIFOLD_SIDE}")
     _check_mc_trials(mc_trials)
     noise = noise if noise is not None else NoiseModel.noiseless()
-    npts = int(np.floor(TWO_PI / step + 1e-9)) + 1
     axis = np.arange(npts) * step
     rows, cols = np.divmod(np.arange(npts * npts), npts)
     children = None if rng is None else rng.spawn(npts * npts)
@@ -460,27 +465,55 @@ def chsh_manifold(step=DEFAULT_MANIFOLD_STEP, noise=None, rng=None, mc_trials=0,
     return ManifoldGrid(axis, axis.copy(), s.reshape(npts, npts), std.reshape(npts, npts))
 
 
+_STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)  # 3x3, row-major
+_FIRST_SPACING = 0.5  # rad: a wide stencil aliases the 2*pi-periodic surface (spacing pi: singular Hessian)
+_MIN_SPACING = 1e-5  # rad: keeps roundoff in the difference quotients near 1e-11
+_STEP_TOL = 1e-10  # rad: a Newton step this short ends a search
+_MAX_ITER = 50  # every grid step takes at most about 10
+
+
 def chsh_extrema(grid=None):
-    """(min, max) of the exact S surface, refined from the grid extrema."""
+    """(min, max) of the exact S surface, refined from the grid extrema.
+
+    The two searches run together, maximising -S and S.  Each iteration
+    evaluates a 3x3 stencil around both points as one batch and forms the
+    finite-difference gradient and Hessian.  Where the surface is locally
+    concave and the Newton step stays within the stencil spacing, the point
+    takes that step and the spacing shrinks to its length; otherwise it
+    moves to its best stencil point (halving the spacing if that is the
+    centre).  Each extremum is the best value seen, grid included.
+    """
     if grid is None:
         grid = chsh_manifold()
-
-    from scipy.optimize import minimize
-
-    def refine(x0, sign):
-        res = minimize(
-            lambda x: sign * chsh_sum(x[0], x[1]),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-        )
-        return sign * res.fun
-
-    imax = np.unravel_index(np.argmax(grid.s), grid.s.shape)
-    imin = np.unravel_index(np.argmin(grid.s), grid.s.shape)
-    smax = refine(np.array([grid.alphas[imax[0]], grid.betas[imax[1]]]), -1.0)
-    smin = refine(np.array([grid.alphas[imin[0]], grid.betas[imin[1]]]), 1.0)
-    return float(smin), float(smax)
+    starts = [np.unravel_index(np.argmin(grid.s), grid.s.shape),
+              np.unravel_index(np.argmax(grid.s), grid.s.shape)]
+    x = np.array([[grid.alphas[i], grid.betas[j]] for i, j in starts])
+    sign = np.array([-1.0, 1.0])
+    best = sign * np.array([grid.s.min(), grid.s.max()])
+    h = np.full(2, _FIRST_SPACING)
+    noiseless = NoiseModel.noiseless()
+    for _ in range(_MAX_ITER):
+        points = (x[:, None, :] + h[:, None, None] * _STENCIL).reshape(-1, 2)
+        f = sign[:, None] * _chsh_points(points[:, 0], points[:, 1], noiseless, None, 0)[0].reshape(2, 9)
+        best = np.maximum(best, f.max(axis=1))
+        # f[k, 3 i + j] sits at alpha offset i - 1 and beta offset j - 1 (m: -1, c: 0, p: +1)
+        mm, mc, mp, cm, cc, cp, pm, pc, pp = f.T
+        ga, gb = (pc - mc) / (2 * h), (cp - cm) / (2 * h)
+        haa, hbb = (pc - 2 * cc + mc) / h**2, (cp - 2 * cc + cm) / h**2
+        hab = (pp - pm - mp + mm) / (4 * h**2)
+        det = haa * hbb - hab**2
+        concave = (haa < 0) & (det > 0)
+        newton = np.stack([hab * gb - hbb * ga, hab * ga - haa * gb], axis=-1)
+        newton /= np.where(concave, det, 1.0)[:, None]
+        length = np.hypot(newton[:, 0], newton[:, 1])
+        trusted = concave & (length <= h)
+        hop = h[:, None] * _STENCIL[np.argmax(f, axis=1)]
+        x = x + np.where(trusted[:, None], newton, hop)
+        stalled = ~trusted & ~hop.any(axis=1)
+        h = np.where(trusted, np.maximum(length, _MIN_SPACING), np.where(stalled, h / 2, h))
+        if np.all(trusted & (length < _STEP_TOL)):
+            break
+    return float(-best[0]), float(best[1])
 
 
 def r_squared(measured, theory):
@@ -590,7 +623,9 @@ def hom_scan(delays_fs=None, noise=None, rng=None, spectral=None):
 
     The visibility estimate takes N_quantum from the zero-delay point and
     N_classical from the plateau average (points beyond 6.5 coherence times,
-    where the dip term is negligible at the stated tolerances).
+    where the dip term is negligible at the stated tolerances).  A scan with
+    no plateau point, or none within half a coherence time of zero delay, is
+    a ValueError.
     """
     noise = noise if noise is not None else NoiseModel.noiseless()
     spectral = spectral or SpectralModel()
@@ -605,8 +640,12 @@ def hom_scan(delays_fs=None, noise=None, rng=None, spectral=None):
     plateau = np.abs(delays_fs) >= _PLATEAU_SIGMAS * sigma_t
     if not plateau.any():
         raise ValueError(f"delay scan must reach past {_PLATEAU_SIGMAS} coherence times")
+    zero = np.argmin(np.abs(delays_fs))
+    if abs(delays_fs[zero]) > 0.5 * sigma_t:
+        raise ValueError(f"delay scan needs a point within half a coherence time ({0.5 * sigma_t:.0f} fs) "
+                         f"of zero delay; the nearest is {delays_fs[zero]:g} fs")
     n_classical = counts[plateau].mean()
-    n_quantum = counts[np.argmin(np.abs(delays_fs))]
+    n_quantum = counts[zero]
     return HomScan(delays_fs, expected, counts, float(hom_visibility(n_classical, n_quantum)))
 
 

@@ -122,11 +122,19 @@ class TestArgumentValidation:
             ["bell-suite", "--exact", "--mc-trials", "5"],
             ["chsh-manifold", "--exact", "--mc-trials", "25"],
             ["mixed-suite", "--exact", "--glyph", "--mc-trials", "5"],
+            ["chsh-manifold", "--exact", "--step", "1e-3"],
+            ["chsh-manifold", "--exact", "--step", "inf"],
+            ["hom-dip", "--seed", "1", "--points", "1"],
+            ["verify-chip", "--threshold", "nan"],
+            ["verify-chip", "--threshold", "inf"],
+            ["verify-chip", "--threshold", "0"],
+            ["verify-chip", "--threshold=-1e-9"],
         ],
         ids=["n-zero", "pairs-negative", "visibility-above-one", "step-zero", "sigma-nan", "pairs-zero",
              "mixed-n-zero", "mc-trials-one", "mc-trials-negative", "mixed-mc-trials-one",
              "manifold-mc-trials-one", "bell-exact-mc-trials", "manifold-exact-mc-trials",
-             "mixed-exact-mc-trials"],
+             "mixed-exact-mc-trials", "step-grid-too-large", "step-inf", "hom-no-zero-delay-point",
+             "threshold-nan", "threshold-inf", "threshold-zero", "threshold-negative"],
     )
     def test_exit_2_with_one_line(self, argv, tmp_path, capsys):
         _assert_exit_2_with_one_line(argv, tmp_path, capsys)
@@ -197,6 +205,15 @@ class TestFreshProcess:
     def test_verify_chip_does_not_import_scipy(self, tmp_path):
         script = ("import sys; from rechip.cli import main; "
                   f"code = main(['verify-chip', '--output', {str(tmp_path / 'out.json')!r}]); "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(code)")
+        out = self._run_python("-c", script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]"
+
+    def test_chsh_extrema_does_not_import_scipy(self, tmp_path):
+        script = ("import sys; from rechip.cli import main; from rechip.experiments import chsh_extrema; "
+                  "smin, smax = chsh_extrema(); "
+                  f"code = main(['chsh-manifold', '--exact', '--output', {str(tmp_path / 'out.json')!r}]); "
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(code)")
         out = self._run_python("-c", script)
         assert out.returncode == 0, out.stderr
@@ -410,6 +427,12 @@ class TestConfigFile:
             main(["benchmark-random", "--config", str(cfg)])
         assert err.value.code == 1
         _one_error_line(capsys, f"error: invalid config JSON: option {key!r}: ")
+
+    def test_threshold_from_config_checked_by_handler(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"threshold": "nan"}))
+        assert main(["verify-chip", "--config", str(cfg)]) == 2
+        _one_error_line(capsys, "error: verify-chip: --threshold must be a positive finite number, got nan")
 
     def test_valid_seed_runs(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

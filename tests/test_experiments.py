@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rechip import tomography
 from rechip.calibration import HeaterCurve, fit_fringe
@@ -196,6 +196,19 @@ class TestChsh:
         assert smax == pytest.approx(2 * np.sqrt(2), abs=1e-6)
         assert smin == pytest.approx(-2 * np.sqrt(2), abs=1e-6)
 
+    @given(step=st.floats(0.05, 7.0))
+    @example(step=7.0)  # 1 x 1 grid
+    @example(step=TWO_PI)  # 2 x 2 grid: its argmax and argmin coincide
+    @example(step=3.5)  # 2 x 2 grid
+    def test_refined_extrema_on_every_grid(self, step):
+        grid = chsh_manifold(step)
+        smin, smax = chsh_extrema(grid)
+        assert type(smin) is float and type(smax) is float
+        assert abs(smax - 2 * np.sqrt(2)) <= 1e-12
+        assert abs(smin + 2 * np.sqrt(2)) <= 1e-12
+        assert smax >= grid.s.max()
+        assert smin <= grid.s.min()
+
     def test_sampled_mode_with_std(self):
         out = chsh_sum(np.pi / 2, np.pi / 2, NOISE_REF, np.random.default_rng(3), mc_trials=20)
         s, std = out
@@ -314,6 +327,17 @@ class TestHomScan:
         with pytest.raises(ValueError):
             hom_scan(delays_fs=np.linspace(-100, 100, 11))
 
+    def test_scan_without_zero_delay_point_rejected(self):
+        with pytest.raises(ValueError, match="zero delay"):
+            hom_scan(delays_fs=[-1600.0])
+        with pytest.raises(ValueError, match="zero delay"):
+            hom_scan(delays_fs=np.linspace(-1600, 1600, 9) + 120.0)
+
+    def test_even_point_count_keeps_working(self):
+        scan = hom_scan(delays_fs=np.linspace(-1600, 1600, 80))
+        assert np.min(np.abs(scan.delays_fs)) == pytest.approx(1600 / 79)
+        assert scan.visibility > 0.9
+
 
 class TestFringeScan:
     CURVE = HeaterCurve(a0=0.3, a2=0.35, a3=0.01, a4=-0.0008)
@@ -401,6 +425,15 @@ class TestBatchedDrivers:
     def test_nan_step_rejected(self):
         with pytest.raises(ValueError, match="step"):
             chsh_manifold(step=float("nan"))
+
+    def test_grid_side_capped_before_any_work(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr("rechip.experiments._run_chunked",
+                            lambda fn, n, jobs: sizes.append(n) or np.zeros((2, n)))
+        assert chsh_manifold(TWO_PI / 1000).s.shape == (1001, 1001)
+        with pytest.raises(ValueError, match=r"1002 x 1002 grid \(1004004 points\)"):
+            chsh_manifold(TWO_PI / 1001)
+        assert sizes == [1001 * 1001]
 
     @pytest.mark.parametrize("qubits", [1, 2])
     def test_tomography_records_exact_and_sampled(self, qubits):
