@@ -173,7 +173,8 @@ def build_parser():
 
     p = subs.add_parser("hom-dip", help="two-photon dip against optical delay")
     _add_options(p, csv=True, sampling=True, device_noise=False)
-    p.add_argument("--delay-max", type=float, default=1600.0, help="scan half-width, fs")
+    p.add_argument("--delay-max", type=float, default=1600.0,
+                   help="scan half-width in fs (positive and finite)")
     p.add_argument("--points", type=int, default=81)
 
     p = subs.add_parser("fringe-fit", help="fit a heater fringe CSV (voltage,counts)")
@@ -298,6 +299,8 @@ def cmd_mixed_suite(args):
 
 
 def cmd_hom_dip(args):
+    if not 0 < args.delay_max < np.inf:
+        raise ValueError(f"--delay-max must be a positive finite number, got {args.delay_max}")
     rng = _rng_from_args(args)
     delays = np.linspace(-args.delay_max, args.delay_max, args.points)
     scan = experiments.hom_scan(delays, noise=_noise_from_args(args), rng=rng)
@@ -326,7 +329,7 @@ def cmd_tomo(args):
         "schema": SCHEMA,
         "experiment": "tomo",
         "qubits": qubits,
-        "rho": json.loads(tomography.rho_to_json(result.rho)),
+        "rho": tomography.rho_to_list(result.rho),
         "log_likelihood": result.log_likelihood,
         "iterations": result.iterations,
         "converged": result.converged,

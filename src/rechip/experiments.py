@@ -12,7 +12,6 @@ in between, chunk by contiguous chunk in order (``jobs`` chunks, more for
 large sweeps).
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,12 +38,12 @@ from .noise import (
 from .tomography import (
     canonical_settings,
     bloch_of_rho,
-    mle_reconstruct,
+    mle_reconstruct_batch,
     monte_carlo_error,
     partial_trace,
     quantum_fidelity,
     rho_of_bloch,
-    rho_to_json,
+    rho_to_list,
     sample_hs_random,
     statistical_fidelity,
 )
@@ -241,8 +240,8 @@ class SuiteReport(_FidelityStats):
         for e in self.entries:
             item = {"label": e.label, "fidelity": e.fidelity, "error": e.error}
             if include_states:
-                item["rho"] = json.loads(rho_to_json(e.rho))
-                item["target"] = json.loads(rho_to_json(e.target))
+                item["rho"] = rho_to_list(e.rho)
+                item["target"] = rho_to_list(e.target)
             doc["entries"].append(item)
         return doc
 
@@ -286,23 +285,31 @@ def _check_mc_trials(mc_trials):
         raise ValueError(f"mc_trials must not be negative, got {mc_trials}")
 
 
-def _tomograph(label, settings, records, target, mc_trials, rng):
-    """SuiteEntry of one reconstruction; its error is the Poisson-resampled std
-    of the fidelity (mc_trials >= 2 and an rng), each resample warm-started
-    from the point estimate."""
-    point = mle_reconstruct(settings, records)
-    failed = [not point.converged]
+def _tomographs(labels, settings, records, targets, mc_trials, rngs):
+    """SuiteEntries of a suite's reconstructions, every point estimate fitted in one batch.
 
-    def resampled_fidelity(recs):
-        fit = mle_reconstruct(settings, recs, start=point.params)
-        failed.append(not fit.converged)
-        return quantum_fidelity(target, fit.rho)
+    An entry's error is the Poisson-resampled std of its fidelity (with
+    mc_trials >= 2 and an rng); a target's resamples are one batch,
+    warm-started from its point estimate.
+    """
+    outcomes = 2 ** settings[0].qubits
+    points = mle_reconstruct_batch(settings, [[r.counts(outcomes) for r in recs] for recs in records])
+    fidelities = quantum_fidelity(np.array(targets), np.array([point.rho for point in points]))
+    entries = []
+    for label, recs, target, point, fidelity, rng in zip(labels, records, targets, points, fidelities, rngs):
+        failed = [not point.converged]
 
-    error = 0.0
-    if mc_trials >= 2 and rng is not None:
-        error = monte_carlo_error(records, resampled_fidelity, mc_trials, rng)
-    fidelity = quantum_fidelity(target, point.rho)
-    return SuiteEntry(label, float(fidelity), float(error), point.rho, target, sum(failed))
+        def resampled_fidelities(resampled):
+            start = np.broadcast_to(point.params, (len(resampled), point.params.size))
+            fits = mle_reconstruct_batch(settings, resampled[..., :outcomes], start=start)
+            failed.extend(not fit.converged for fit in fits)
+            return quantum_fidelity(target, np.array([fit.rho for fit in fits]))
+
+        error = 0.0
+        if mc_trials >= 2 and rng is not None:
+            error = monte_carlo_error(recs, resampled_fidelities, mc_trials, rng)
+        entries.append(SuiteEntry(label, float(fidelity), float(error), point.rho, target, sum(failed)))
+    return entries
 
 
 BELL_PREPS = {
@@ -339,8 +346,7 @@ def bell_state_suite(noise=None, rng=None, mc_trials=25):
     preps = [PhaseConfig(list(BELL_PREPS[name]) + [0.0] * 4) for name in names]
     settings, records = tomography_records(preps, noise, None if rng is None else children, qubits=2)
 
-    entries = [_tomograph(name, settings, recs, targets[name], mc_trials, child)
-               for name, recs, child in zip(names, records, children)]
+    entries = _tomographs(names, settings, records, [targets[name] for name in names], mc_trials, children)
     return SuiteReport("bell-suite", entries)
 
 
@@ -588,8 +594,8 @@ def mixed_state_suite(targets=None, n=119, noise=None, rng=None, mc_trials=0):
     preps = [prep_config(solve_mixed_prep(r)) for r in targets]
     settings, records = tomography_records(preps, noise, None if rng is None else children, qubits=1)
 
-    entries = [_tomograph(f"target-{i}", settings, recs, rho_of_bloch(r), mc_trials, child)
-               for i, (r, recs, child) in enumerate(zip(targets, records, children))]
+    labels = [f"target-{i}" for i in range(len(targets))]
+    entries = _tomographs(labels, settings, records, [rho_of_bloch(r) for r in targets], mc_trials, children)
     return SuiteReport("mixed-suite", entries)
 
 
@@ -624,26 +630,30 @@ def hom_scan(delays_fs=None, noise=None, rng=None, spectral=None):
     The visibility estimate takes N_quantum from the zero-delay point and
     N_classical from the plateau average (points beyond 6.5 coherence times,
     where the dip term is negligible at the stated tolerances).  A scan with
-    no plateau point, or none within half a coherence time of zero delay, is
-    a ValueError.
+    a non-finite delay, with no point within half a coherence time of zero
+    delay, or that does not reach the plateau on both sides, is a ValueError.
     """
     noise = noise if noise is not None else NoiseModel.noiseless()
     spectral = spectral or SpectralModel()
     if delays_fs is None:
         delays_fs = np.linspace(-1600.0, 1600.0, 81)
     delays_fs = np.asarray(delays_fs, dtype=float)
-    probs = hom_dip_curve(delays_fs, spectral, noise.indistinguishability)
-    expected = noise.mean_pairs * probs
-    counts = expected if rng is None else rng.poisson(expected).astype(float)
-
+    if not np.all(np.isfinite(delays_fs)):
+        raise ValueError("delays must be finite")
     sigma_t = spectral.coherence_time_fs()
-    plateau = np.abs(delays_fs) >= _PLATEAU_SIGMAS * sigma_t
-    if not plateau.any():
-        raise ValueError(f"delay scan must reach past {_PLATEAU_SIGMAS} coherence times")
     zero = np.argmin(np.abs(delays_fs))
     if abs(delays_fs[zero]) > 0.5 * sigma_t:
         raise ValueError(f"delay scan needs a point within half a coherence time ({0.5 * sigma_t:.0f} fs) "
                          f"of zero delay; the nearest is {delays_fs[zero]:g} fs")
+    reach = _PLATEAU_SIGMAS * sigma_t
+    if not (delays_fs.min() <= -reach and delays_fs.max() >= reach):
+        raise ValueError(f"delay scan must reach past {_PLATEAU_SIGMAS} coherence times ({reach:.0f} fs) "
+                         f"on both sides of zero delay")
+    plateau = np.abs(delays_fs) >= reach
+
+    probs = hom_dip_curve(delays_fs, spectral, noise.indistinguishability)
+    expected = noise.mean_pairs * probs
+    counts = expected if rng is None else rng.poisson(expected).astype(float)
     n_classical = counts[plateau].mean()
     n_quantum = counts[zero]
     return HomScan(delays_fs, expected, counts, float(hom_visibility(n_classical, n_quantum)))

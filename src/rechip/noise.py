@@ -143,10 +143,14 @@ def expected_counts(probs, model):
     return model.mean_pairs * (p + model.accidental_fraction / p.shape[-1])
 
 
+_DIP_CUTOFF_SIGMAS = 40.0  # exp(-40^2 / 2) is 0 in float64: beyond it the dip term is exactly 0
+
+
 def hom_dip_curve(delays_fs, spectral, v_max):
     """Coincidence probability P(tau) = (1 - v_max exp(-tau^2/(2 sigma_t^2))) / 2."""
-    tau = np.asarray(delays_fs, dtype=float)
     sigma_t = spectral.coherence_time_fs()
+    # |tau| is clipped where the dip term is already 0, so huge delays cannot overflow tau^2
+    tau = np.clip(np.asarray(delays_fs, dtype=float), -_DIP_CUTOFF_SIGMAS * sigma_t, _DIP_CUTOFF_SIGMAS * sigma_t)
     return 0.5 * (1.0 - v_max * np.exp(-(tau**2) / (2.0 * sigma_t**2)))
 
 

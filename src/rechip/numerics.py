@@ -25,13 +25,13 @@ def tensor(a, b):
 
 
 def hermiticity_defect(h):
-    """Max-entry norm of (h - h†)."""
+    """Max-entry norm of (h - h†), over every matrix of a stack."""
     h = np.asarray(h, dtype=complex)
-    return float(np.max(np.abs(h - h.conj().T)))
+    return float(np.max(np.abs(h - h.conj().swapaxes(-1, -2))))
 
 
 def psd_sqrt(h):
-    """Hermitian PSD square root via spectral decomposition.
+    """Hermitian PSD square root via spectral decomposition, of one matrix or of each in a stack.
 
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything more negative
     is rejected, as is a non-Hermitian input.
@@ -40,11 +40,11 @@ def psd_sqrt(h):
     defect = hermiticity_defect(h)
     if defect > HERMITIAN_TOL:
         raise ValueError(f"input is not Hermitian (defect {defect:.3e})")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    w, v = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2)
     if w.min() < -EIGENVALUE_CLAMP:
         raise ValueError(f"eigenvalue {w.min():.3e} below the -1e-10 clamp threshold")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def unitarity_defect(u):

@@ -14,10 +14,14 @@ Reconstruction maximises the Poissonian log-likelihood
 over rho = T†T / Tr(T†T) with T lower triangular, so the result is PSD with
 unit trace by construction (James et al., PRA 64, 052312 (2001)).  Outcome
 probabilities are floored at 1e-12 inside the likelihood to avoid -inf at
-the boundary of the state space.  L-BFGS-B starts from projected linear
+the boundary of the state space.  The search starts from projected linear
 inversion (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)): the
 least-squares rho with its eigenvalues projected onto the probability
-simplex and floored, so that the start is full rank.
+simplex and floored, so that the start is full rank.  B records that share
+one setting list are fitted as one batch, each with its own dense-BFGS state
+and stopping test, in the manner of Shang, Zhang, Ng & Ng, "Superfast
+maximum-likelihood reconstruction for quantum tomography", PRA 95, 062336
+(2017).
 """
 
 import itertools
@@ -61,9 +65,10 @@ class MeasurementSetting:
 class MLEResult:
     """A reconstruction and how the optimizer ended.
 
-    ``converged`` is L-BFGS-B's own success flag and ``message`` its
-    termination message; ``params`` is the optimum in the T†T
-    parameterisation, a warm start for fits of nearby data.
+    ``converged`` says whether the fit met one of ``minimize``'s convergence
+    tests and ``message`` names the test that stopped it (one of
+    STOP_MESSAGES); ``params`` is the optimum in the T†T parameterisation, a
+    warm start for fits of nearby data.
     """
 
     rho: np.ndarray
@@ -74,11 +79,133 @@ class MLEResult:
     params: np.ndarray
 
 
-def minimize(fun, x0, **kwargs):
-    """scipy.optimize.minimize, imported on the first fit rather than with the package."""
-    from scipy.optimize import minimize as scipy_minimize
+# minimize's per-row stopping tests
+FTOL = 1e-13  # a step lowers f, or the next step predicts it to lower f, by at most FTOL max(|f|, 1)
+GTOL = 1e-12  # no gradient component exceeds GTOL
+MAX_ITER = 5000
+ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+MAX_BACKTRACKS = 60
 
-    return scipy_minimize(fun, x0, **kwargs)
+STOP_MESSAGES = (
+    "converged: relative reduction of f below FTOL",
+    "converged: gradient below GTOL",
+    "converged: predicted reduction of f below FTOL",
+    "stopped: iteration limit MAX_ITER",
+    "stopped: no decrease along the search direction",
+)
+CONVERGED = (0, 1, 2)  # the status codes (indices into STOP_MESSAGES) of a converged row
+
+
+@dataclass(frozen=True)
+class Minimum:
+    """Per-row outcome of ``minimize``: the rows' minimisers x (B, D), their values
+    fun (B,), iteration counts nit (B,) and status codes (B,) into STOP_MESSAGES."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nit: np.ndarray
+    status: np.ndarray
+
+
+def minimize(fun, x0, scale, args=()):
+    """Minimise every row of x0 (B, D) on its own by quasi-Newton (BFGS) steps.
+
+    ``fun(x, *args)`` returns the values (n,) and gradients (n, D) at the n
+    rows of x, given the matching rows of each (B, ...) array in ``args``.
+    Each row keeps its own dense inverse-Hessian estimate, its own Armijo
+    backtracking line search (quadratic interpolation, trial step 1) and its
+    own stopping test.  The estimate is the BFGS update of gamma I with
+    gamma rescaled after every step to s.y / y.y of the latest step, as
+    limited-memory BFGS does with all steps kept (Shanno and Phua's scaling,
+    renewed each step); it is held as gamma A + B, with A and B updated by
+    the same recursion.  ``scale`` (a number or one per row) is the first
+    gamma, which sets the length of the first step.  A row stops when a step lowers f, or the next step predicts it
+    to lower f (g.Hg), by at most FTOL max(|f|, 1), when no gradient
+    component exceeds GTOL, when no decrease is found along the search
+    direction, or after MAX_ITER steps.  Rows are computed as stacks, so a
+    row's result does not depend on the other rows of the batch.
+    """
+    x = np.array(x0, dtype=np.float64)
+    b, dim = x.shape
+    result = Minimum(np.empty_like(x), np.empty(b), np.empty(b, dtype=np.int64), np.empty(b, dtype=np.int64))
+    rows = np.arange(b)
+    f, g = fun(x, *args)
+    f_prev = np.full(b, np.nan)
+    gamma = np.array(np.broadcast_to(scale, (b,)), dtype=np.float64).reshape(b, 1, 1)
+    ab = np.zeros((b, 2, dim, dim))  # A and B of the estimate gamma A + B
+    ab[:, 0] = np.eye(dim)
+    failed = None  # rows whose line search found no decrease
+    it = 0
+    while True:
+        abg = ab @ g[:, None, :, None]
+        hg = (gamma * abg[:, 0] + abg[:, 1])[..., 0]  # H g; the step is -H g
+        decrease = (g[:, None, :] @ hg[..., None])[:, 0, 0]  # the step's predicted decrease g.Hg
+        tol = np.maximum(np.abs(f), 1.0) * FTOL
+        stop = (np.minimum(f_prev - f, decrease) <= tol) | (np.maximum.reduce(np.abs(g), axis=-1) <= GTOL)
+        if failed is not None:
+            stop |= failed
+        if it >= MAX_ITER:
+            stop[:] = True
+        if np.count_nonzero(stop):
+            i = np.flatnonzero(stop)
+            result.x[rows[i]], result.fun[rows[i]], result.nit[rows[i]] = x[i], f[i], it
+            result.status[rows[i]] = np.select(
+                [np.zeros(len(i), dtype=bool) if failed is None else failed[i],
+                 np.abs(g[i]).max(axis=-1) <= GTOL, decrease[i] <= 0, f_prev[i] - f[i] <= tol[i],
+                 decrease[i] <= tol[i]], [4, 1, 4, 0, 2], 3)
+            if len(i) == len(stop):
+                return result
+            keep = ~stop
+            x, f, g, hg, decrease, f_prev, gamma, ab, rows = (
+                v[keep] for v in (x, f, g, hg, decrease, f_prev, gamma, ab, rows))
+            args = tuple(a[keep] for a in args)
+
+        x_new = x - hg
+        f_new, g_new = fun(x_new, *args)
+        ok = f_new <= f - ARMIJO * decrease
+        failed = None
+        if np.count_nonzero(ok) < len(ok):
+            failed = ~ok
+            t = np.ones(len(x))
+            for _ in range(MAX_BACKTRACKS):
+                i = np.flatnonzero(failed)
+                ti, di = t[i], decrease[i]
+                # minimiser of the quadratic through f, the slope -g.Hg and f_new, kept within [0.1, 0.5] t
+                t[i] = np.fmin(np.fmax(di * ti**2 / (2.0 * (f_new[i] - f[i] + di * ti)), 0.1 * ti), 0.5 * ti)
+                x_new[i] = x[i] - t[i, None] * hg[i]
+                f_new[i], g_new[i] = fun(x_new[i], *(a[i] for a in args))
+                failed[i] = ~(f_new[i] <= f[i] - ARMIJO * t[i] * di)
+                if not np.count_nonzero(failed):
+                    break
+            # rows with no decrease stay where they are and stop
+            x_new[failed], f_new[failed], g_new[failed] = x[failed], f[failed], g[failed]
+
+        pair = np.empty((len(x), 2, dim))  # the step s and the change of gradient y
+        s = np.subtract(x_new, x, out=pair[:, 0])
+        y = np.subtract(g_new, g, out=pair[:, 1])
+        yc = y[:, :, None]
+        products = pair @ yc  # s.y and y.y
+        sy = products[:, :1]
+        curved = sy[:, 0, 0] > 0  # only these rows update their estimate
+        all_curved = np.count_nonzero(curved) == len(curved)
+        if not all_curved:
+            products = np.where(curved[:, None, None], products, 1.0)
+            sy = products[:, :1]
+        inv_sy = 1.0 / sy
+        # M -> (I - s y^T / s.y) M (I - y s^T / s.y) for M = A and B, and B gains s s^T / s.y
+        rs = inv_sy * s[:, None, :]
+        rmy = inv_sy[:, None] * (ab @ yc[:, None])
+        v = (y[:, None, None, :] @ rmy) * rs[:, None] - rmy.swapaxes(-1, -2)
+        v[:, 1] += rs
+        ab_new = ab + s[:, None, :, None] * v - rmy * s[:, None, None, :]
+        gamma_new = sy / products[:, 1:]
+        if all_curved:
+            ab, gamma = ab_new, gamma_new
+        else:
+            ab = np.where(curved[:, None, None, None], ab_new, ab)
+            gamma = np.where(curved[:, None, None], gamma_new, gamma)
+        x, f_prev, f, g = x_new, f, f_new, g_new
+        it += 1
 
 
 def check_density(rho):
@@ -132,88 +259,129 @@ def projectors_of_setting(setting):
 
 
 @lru_cache(maxsize=64)
-def _design(settings):
-    """Flattened projector rows (K, d**2) of a tuple of settings and the
-    pseudo-inverse mapping outcome frequencies to the least-squares vec(rho)."""
+def _projector_rows(settings):
+    """Flattened projector rows (K, d**2) of a tuple of settings, read-only."""
     pmat = np.concatenate([projectors_of_setting(s) for s in settings])
     pmat = pmat.reshape(len(pmat), -1)
-    # Tr(P rho) = conj(vec P) . vec(rho) for Hermitian P
-    inverse = np.linalg.pinv(pmat.conj())
     pmat.flags.writeable = False
+    return pmat
+
+
+@lru_cache(maxsize=64)
+def _forms(settings):
+    """The likelihood's quadratic forms of a tuple of settings (kernels.quadratic_forms), read-only."""
+    return kernels.quadratic_forms(_projector_rows(settings), 2 ** settings[0].qubits)
+
+
+@lru_cache(maxsize=64)
+def _inverse_rows(settings, kept):
+    """(K, d**2) map from outcome frequencies to the least-squares vec(rho) over the
+    kept settings (a tuple of flags): the transposed pseudo-inverse of their
+    projector rows, with zero rows at the outcomes of the other settings."""
+    pmat = _projector_rows(settings)
+    outcomes = len(pmat) // len(settings)
+    rows = np.repeat(kept, outcomes)
+    # Tr(P rho) = conj(vec P) . vec(rho) for Hermitian P
+    inverse = np.zeros(pmat.shape, dtype=np.complex128)
+    inverse[rows] = np.linalg.pinv(pmat[rows].conj()).T
     inverse.flags.writeable = False
-    return pmat, inverse
+    return inverse
 
 
-def _stack_measurements(settings, counts):
-    if len(settings) != len(counts):
-        raise ValueError("counts must align with settings")
-    qubits = settings[0].qubits
-    outcomes = 2**qubits
-    kept, ns, totals = [], [], []
-    for setting, record in zip(settings, counts):
-        n = record.counts(outcomes)
-        total = n.sum()
-        if total <= 0:
-            continue  # a zero-observation setting carries no likelihood term
-        kept.append(setting)
-        ns.append(n)
-        totals.append(total)
-    if not kept:
+def _count_arrays(settings, counts):
+    """(B, K) counts and the matching per-setting totals of (B, settings, outcomes) counts.
+
+    A setting without counts in a record has total 0 there and adds no
+    likelihood term to that record's fit.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    outcomes = 2 ** settings[0].qubits
+    if counts.ndim != 3 or counts.shape[1:] != (len(settings), outcomes):
+        raise ValueError(f"counts must align with settings: expected (records, {len(settings)}, {outcomes}), "
+                         f"got {counts.shape}")
+    if (counts < 0).any():
+        raise ValueError("counts must not be negative")
+    per_setting = counts.sum(axis=-1)
+    if (per_setting.sum(axis=-1) <= 0).any():
         raise ValueError("zero total counts")
-    pmat, inverse = _design(tuple(kept))
-    return pmat, inverse, np.concatenate(ns), np.repeat(totals, outcomes), outcomes
+    return counts.reshape(len(counts), -1), np.repeat(per_setting, outcomes, axis=-1)
 
 
-def linear_inversion_start(inverse, counts, totals, dim):
-    """Projected linear inversion: least-squares rho, eigenvalues projected onto
-    the probability simplex, then floored at START_EIGEN_FLOOR and renormalised."""
-    rho = (inverse @ (counts / totals)).reshape(dim, dim)
-    mu, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    # Euclidean projection of the eigenvalues onto the simplex (sorted descending)
-    desc = mu[::-1]
-    shift = (np.cumsum(desc) - 1.0) / np.arange(1, dim + 1)
-    last = np.nonzero(desc - shift > 0)[0][-1]
-    lam = np.maximum(mu - shift[last], START_EIGEN_FLOOR)
-    lam /= lam.sum()
-    return kernels.params_from_rho((vecs * lam) @ vecs.conj().T)
+def linear_inversion_start(settings, counts, totals):
+    """Projected linear inversion of each row of (B, K) counts with their setting totals:
+    the least-squares rho over the record's observed settings, its eigenvalues
+    projected onto the probability simplex, then floored at START_EIGEN_FLOOR
+    and renormalised.  Returns (B, dim**2) parameters."""
+    settings = tuple(settings)
+    dim = 2 ** settings[0].qubits
+    observed = totals[:, ::dim] > 0  # a setting has dim outcomes
+    if observed.all():
+        inverses = _inverse_rows(settings, (True,) * len(settings))
+    else:
+        inverses = np.stack([_inverse_rows(settings, tuple(row)) for row in observed.tolist()])
+    freq = counts / np.where(totals > 0, totals, 1.0)
+    rho = (freq[:, None, :] @ inverses).reshape(-1, dim, dim)
+    mu, vecs = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
+    # Euclidean projection of the eigenvalues onto the simplex: with them sorted
+    # descending, the shift is the largest of (partial sum - 1) / length
+    shift = (np.cumsum(mu[:, ::-1], axis=-1) - 1.0) / np.arange(1, dim + 1)
+    lam = np.maximum(mu - shift.max(axis=-1, keepdims=True), START_EIGEN_FLOOR)
+    lam /= lam.sum(axis=-1, keepdims=True)
+    return kernels.params_from_rho((vecs * lam[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
+
+
+def mle_reconstruct_batch(settings, counts, start=None):
+    """Maximum-likelihood fits of B records that share one setting list, as one batch.
+
+    ``counts`` is (B, len(settings), outcomes): record b's counts per setting
+    and outcome.  The search starts from ``start``, (B, dim**2) parameters
+    of earlier fits (e.g. ``MLEResult.params`` of the point estimate when
+    refitting resampled counts), or else from projected linear inversion.
+    Every record keeps its own optimizer state and stopping test (see
+    ``minimize``), so its result is bit-identical to fitting it alone.
+    Returns one MLEResult per record.
+
+    Raises
+    ------
+    ValueError
+        Misaligned or negative counts, or a record with zero total counts.
+    """
+    settings = tuple(settings)
+    n, totals = _count_arrays(settings, counts)
+    dim = 2 ** settings[0].qubits
+    forms = _forms(settings)
+
+    def objective(theta, n, totals):
+        return kernels.mle_nll_grad(theta, forms, n, totals, dim, PROB_FLOOR)
+
+    theta0 = linear_inversion_start(settings, n, totals) if start is None else start
+    # the likelihood's curvature grows with the counts: a first step of about g / (total counts)
+    opt = minimize(objective, theta0, 1.0 / n.sum(axis=-1), args=(n, totals))
+    rho = kernels.rho_from_params(opt.x, dim)
+    # Hermitise exactly; the parameterisation already guarantees PSD and trace 1
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
+    return [MLEResult(rho=rho[b], log_likelihood=float(-opt.fun[b]), iterations=int(opt.nit[b]),
+                      converged=bool(opt.status[b] in CONVERGED), message=STOP_MESSAGES[opt.status[b]],
+                      params=opt.x[b])
+            for b in range(len(n))]
 
 
 def mle_reconstruct(settings, counts, start=None):
     """Maximum-likelihood density matrix from per-setting count records.
 
-    The search starts from ``start`` (parameters of an earlier fit, e.g.
-    ``MLEResult.params`` of the point estimate when refitting resampled
-    counts) or else from projected linear inversion.
+    The batch of one of ``mle_reconstruct_batch``: ``counts`` holds one
+    CountRecord per setting and ``start`` is None or one parameter vector.
 
     Raises
     ------
     ValueError
         Misaligned inputs or zero total counts.
     """
-    pmat, inverse, n, totals, dim = _stack_measurements(settings, counts)
-
-    def objective(theta):
-        return kernels.mle_nll_grad(theta, pmat, n, totals, dim, PROB_FLOOR)
-
-    theta0 = linear_inversion_start(inverse, n, totals, dim) if start is None else start
-    result = minimize(
-        objective,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 5000, "ftol": 1e-13, "gtol": 1e-12, "maxcor": 20},
-    )
-    rho = kernels.rho_from_params(result.x, dim)
-    # Hermitise exactly; the parameterisation already guarantees PSD and trace 1
-    rho = (rho + rho.conj().T) / 2
-    return MLEResult(
-        rho=rho,
-        log_likelihood=float(-result.fun),
-        iterations=int(result.nit),
-        converged=bool(result.success),
-        message=str(result.message),
-        params=result.x,
-    )
+    if len(settings) != len(counts):
+        raise ValueError("counts must align with settings")
+    outcomes = 2 ** settings[0].qubits
+    table = [record.counts(outcomes) for record in counts]
+    return mle_reconstruct_batch(settings, [table], None if start is None else [start])[0]
 
 
 def simulate_counts(settings, rho, pairs_per_setting):
@@ -238,18 +406,22 @@ def statistical_fidelity(p, q):
 
 
 def quantum_fidelity(rho, sigma):
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1]."""
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1].
+
+    Either argument may be a stack of density matrices; stacks broadcast
+    against each other (or against one matrix) and give an array of fidelities.
+    """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
+    if rho.shape[-2:] != sigma.shape[-2:]:
         raise ValueError("dimension mismatch")
     root = psd_sqrt(rho)
     inner = root @ sigma @ root
     # inner is PSD up to roundoff; symmetrise before the second root
-    inner = (inner + inner.conj().T) / 2
+    inner = (inner + inner.conj().swapaxes(-1, -2)) / 2
     w = np.linalg.eigvalsh(inner)
-    f = float(np.sqrt(np.clip(w, 0.0, None)).sum() ** 2)
-    return min(max(f, 0.0), 1.0)
+    f = np.clip(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1) ** 2, 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f
 
 
 def purity(rho):
@@ -294,30 +466,33 @@ def rho_of_bloch(r):
 def monte_carlo_error(counts, estimator, trials, rng):
     """Poisson-resampled standard deviation of an estimator of count records.
 
-    ``counts`` may be a single CountRecord or a sequence of them; the
-    estimator receives the same shape it was given.
+    ``counts`` may be a single CountRecord or a sequence of them.  Every
+    trial is drawn by one ``rng.poisson`` call, trial by trial and record by
+    record, and the estimator receives them all at once: a (trials, 4) array
+    of resampled ``CountRecord.counts()`` for a single record, (trials,
+    records, 4) for a sequence.  It returns the trials' values.
     """
     if trials < 2:
         raise ValueError("trials must be at least 2")
-    single = not isinstance(counts, (list, tuple))
-    records = [counts] if single else list(counts)
-    values = np.empty(trials)
-    for t in range(trials):
-        resampled = [
-            type(r)(r.setting, *(int(c) for c in rng.poisson(r.counts())))
-            for r in records
-        ]
-        values[t] = estimator(resampled[0] if single else resampled)
-    return float(np.std(values, ddof=1))
+    if isinstance(counts, (list, tuple)):
+        lam = np.array([r.counts() for r in counts])
+    else:
+        lam = counts.counts()
+    resampled = rng.poisson(np.broadcast_to(lam, (trials,) + lam.shape)).astype(np.float64)
+    return float(np.std(np.asarray(estimator(resampled), dtype=np.float64), ddof=1))
 
 
 # --- serialization ----------------------------------------------------------
 
+def rho_to_list(rho):
+    """Density matrix as nested row-major lists of [re, im] pairs."""
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    return rho.view(np.float64).reshape(rho.shape + (2,)).tolist()
+
+
 def rho_to_json(rho):
-    """Density matrix as nested row-major [[re, im], ...] pairs."""
-    rho = np.asarray(rho, dtype=complex)
-    data = [[[float(z.real), float(z.imag)] for z in row] for row in rho]
-    return json.dumps(data)
+    """Density matrix as JSON: nested row-major [[re, im], ...] pairs."""
+    return json.dumps(rho_to_list(rho))
 
 
 def rho_from_json(text):

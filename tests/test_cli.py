@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,12 +128,19 @@ class TestArgumentValidation:
             ["verify-chip", "--threshold", "inf"],
             ["verify-chip", "--threshold", "0"],
             ["verify-chip", "--threshold=-1e-9"],
+            ["hom-dip", "--seed", "1", "--delay-max", "nan"],
+            ["hom-dip", "--seed", "1", "--delay-max=inf"],
+            ["hom-dip", "--seed", "1", "--delay-max=-inf"],
+            ["hom-dip", "--seed", "1", "--delay-max", "0"],
+            ["hom-dip", "--seed", "1", "--delay-max=-1600"],
+            ["hom-dip", "--seed", "1", "--delay-max", "1e-300"],
         ],
         ids=["n-zero", "pairs-negative", "visibility-above-one", "step-zero", "sigma-nan", "pairs-zero",
              "mixed-n-zero", "mc-trials-one", "mc-trials-negative", "mixed-mc-trials-one",
              "manifold-mc-trials-one", "bell-exact-mc-trials", "manifold-exact-mc-trials",
              "mixed-exact-mc-trials", "step-grid-too-large", "step-inf", "hom-no-zero-delay-point",
-             "threshold-nan", "threshold-inf", "threshold-zero", "threshold-negative"],
+             "threshold-nan", "threshold-inf", "threshold-zero", "threshold-negative", "delay-max-nan",
+             "delay-max-inf", "delay-max-minus-inf", "delay-max-zero", "delay-max-negative", "delay-max-tiny"],
     )
     def test_exit_2_with_one_line(self, argv, tmp_path, capsys):
         _assert_exit_2_with_one_line(argv, tmp_path, capsys)
@@ -152,6 +158,14 @@ class TestArgumentValidation:
     )
     def test_jobs_below_one(self, argv, jobs, tmp_path, capsys):
         _assert_exit_2_with_one_line(argv + ["--jobs", jobs], tmp_path, capsys)
+
+    def test_huge_delay_max_scans_without_warnings(self, tmp_path, capsys):
+        # the dip term is clipped where it is already 0, so delays of 1e300 fs cannot overflow
+        code = main(["hom-dip", "--seed", "1", "--delay-max", "1e300", "--output", str(tmp_path / "out.json")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert 0.9 < json.loads(captured.out)["visibility"] <= 1.0
 
     def test_header_only_targets(self, tmp_path, capsys):
         path = tmp_path / "targets.csv"
@@ -205,6 +219,20 @@ class TestFreshProcess:
     def test_verify_chip_does_not_import_scipy(self, tmp_path):
         script = ("import sys; from rechip.cli import main; "
                   f"code = main(['verify-chip', '--output', {str(tmp_path / 'out.json')!r}]); "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(code)")
+        out = self._run_python("-c", script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("argv", [["tomo"], ["bell-suite", "--seed", "2", "--mc-trials", "3"],
+                                      ["mixed-suite", "--glyph", "--seed", "5"]], ids=lambda argv: argv[0])
+    def test_tomography_does_not_import_scipy(self, argv, tmp_path):
+        if argv == ["tomo"]:
+            counts = tmp_path / "counts.csv"
+            write_count_records(counts, simulate_counts(canonical_settings(2), np.eye(4) / 4, 1e3))
+            argv = ["tomo", str(counts)]
+        script = ("import sys; from rechip.cli import main; "
+                  f"code = main({argv + ['--output', str(tmp_path / 'out.json')]!r}); "
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(code)")
         out = self._run_python("-c", script)
         assert out.returncode == 0, out.stderr
@@ -340,18 +368,16 @@ class TestTomoCommand:
         assert doc["converged"] is True
 
     def test_reports_optimizer_status(self, tmp_path, capsys, monkeypatch):
-        def stopped(fun, x0, **kwargs):
-            return SimpleNamespace(x=x0, fun=fun(x0)[0], success=False, nit=3,
-                                   message="ABNORMAL_TERMINATION_IN_LNSRCH")
-
-        monkeypatch.setattr(rechip.tomography, "minimize", stopped)
+        # a fit stopped by the iteration limit: not converged, its iterations and the reason
+        monkeypatch.setattr(rechip.tomography, "MAX_ITER", 3)
         path = tmp_path / "counts.csv"
-        write_count_records(path, simulate_counts(canonical_settings(2), np.eye(4) / 4, 1e3))
+        bell = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex) / 2
+        write_count_records(path, simulate_counts(canonical_settings(2), bell, 1e3))
         code, out = run(["tomo", str(path)], capsys)
         assert code == 0
         assert '"converged": false' in out
         doc = json.loads(out)
-        assert (doc["iterations"], doc["message"]) == (3, "ABNORMAL_TERMINATION_IN_LNSRCH")
+        assert (doc["iterations"], doc["message"]) == (3, "stopped: iteration limit MAX_ITER")
 
     def test_missing_setting(self, tmp_path, capsys):
         path = tmp_path / "counts.csv"

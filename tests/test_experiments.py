@@ -1,4 +1,3 @@
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -140,10 +139,7 @@ class TestBellSuite:
         assert [e.error for e in report.entries] == [0.0] * 4
 
     def test_fits_not_converged_counts_every_fit(self, monkeypatch):
-        def stopped(fun, x0, **kwargs):
-            return SimpleNamespace(x=x0, fun=fun(x0)[0], success=False, nit=3, message="stopped")
-
-        monkeypatch.setattr(tomography, "minimize", stopped)
+        monkeypatch.setattr(tomography, "MAX_ITER", 3)  # every fit stops unconverged
         report = bell_state_suite(noise=NOISE_REF, rng=np.random.default_rng(4), mc_trials=2)
         assert report.to_dict()["fits_not_converged"] == 4 * 3  # a point fit and two resamples each
 
@@ -326,6 +322,14 @@ class TestHomScan:
     def test_short_scan_rejected(self):
         with pytest.raises(ValueError):
             hom_scan(delays_fs=np.linspace(-100, 100, 11))
+
+    def test_one_sided_or_non_finite_scan_rejected(self):
+        with pytest.raises(ValueError, match="both sides"):
+            hom_scan(delays_fs=np.linspace(-100, 1600, 18))
+        with pytest.raises(ValueError, match="finite"):
+            hom_scan(delays_fs=[-np.inf, 0.0, np.inf])
+        with pytest.raises(ValueError, match="finite"):
+            hom_scan(delays_fs=[-1600.0, 0.0, np.nan, 1600.0])
 
     def test_scan_without_zero_delay_point_rejected(self):
         with pytest.raises(ValueError, match="zero delay"):

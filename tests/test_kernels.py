@@ -74,21 +74,22 @@ def test_mle_paths_agree(dim, rng):
         rho = kernels.rho_from_params(theta, dim)
         p = np.array([np.trace(proj @ rho).real for proj in projs])
         expect = -np.sum(counts * np.log(totals * p) - totals * p)
-        value, _ = kernels.mle_nll_grad(theta, projs, counts, totals, dim, 1e-12)
+        value, _ = kernels.mle_nll_grad(theta, kernels.quadratic_forms(projs, dim), counts, totals, dim, 1e-12)
         assert value == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_mle_gradient_matches_finite_differences(dim, rng):
     theta, projs, counts, totals = _random_mle_problem(rng, dim)
-    _, grad = kernels.mle_nll_grad(theta, projs, counts, totals, dim, 1e-12)
+    forms = kernels.quadratic_forms(projs, dim)
+    _, grad = kernels.mle_nll_grad(theta, forms, counts, totals, dim, 1e-12)
     eps = 1e-6
     for k in range(len(theta)):
         tp, tm = theta.copy(), theta.copy()
         tp[k] += eps
         tm[k] -= eps
-        vp, _ = kernels.mle_nll_grad(tp, projs, counts, totals, dim, 1e-12)
-        vm, _ = kernels.mle_nll_grad(tm, projs, counts, totals, dim, 1e-12)
+        vp, _ = kernels.mle_nll_grad(tp, forms, counts, totals, dim, 1e-12)
+        vm, _ = kernels.mle_nll_grad(tm, forms, counts, totals, dim, 1e-12)
         fd = (vp - vm) / (2 * eps)
         assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-4)
 
@@ -124,9 +125,24 @@ def test_params_from_rho_round_trips_full_rank_states(dim, rng):
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_mle_projector_matrix_equals_stack(dim, rng):
-    # the reconstruction passes flattened (K, dim**2) rows; the value and the gradient match the stack
+    # the reconstruction builds its forms from flattened (K, dim**2) rows; the value and the gradient match
+    # those from the stack
     theta, projs, counts, totals = _random_mle_problem(rng, dim)
-    v_stack, g_stack = kernels.mle_nll_grad(theta, projs, counts, totals, dim, 1e-12)
-    v_rows, g_rows = kernels.mle_nll_grad(theta, projs.reshape(len(projs), -1), counts, totals, dim, 1e-12)
+    v_stack, g_stack = kernels.mle_nll_grad(theta, kernels.quadratic_forms(projs, dim), counts, totals, dim, 1e-12)
+    rows = kernels.quadratic_forms(projs.reshape(len(projs), -1), dim)
+    v_rows, g_rows = kernels.mle_nll_grad(theta, rows, counts, totals, dim, 1e-12)
     assert v_rows == v_stack
     assert np.array_equal(g_rows, g_stack)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_mle_batch_rows_equal_single_calls(dim, rng):
+    # a (B, dim**2) batch with (B, K) counts: each row bit for bit as its own call
+    problems = [_random_mle_problem(rng, dim) for _ in range(3)]
+    forms = kernels.quadratic_forms(problems[0][1], dim)
+    theta, counts, totals = (np.array([p[i] for p in problems]) for i in (0, 2, 3))
+    values, grads = kernels.mle_nll_grad(theta, forms, counts, totals, dim, 1e-12)
+    for b in range(3):
+        value, grad = kernels.mle_nll_grad(theta[b:b + 1], forms, counts[b:b + 1], totals[b:b + 1], dim, 1e-12)
+        assert values[b] == value[0]
+        assert np.array_equal(grads[b], grad[0])

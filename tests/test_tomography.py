@@ -1,6 +1,5 @@
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from rechip.tomography import (
     canonical_settings,
     check_density,
     mle_reconstruct,
+    mle_reconstruct_batch,
     monte_carlo_error,
     partial_trace,
     projectors_of_setting,
@@ -33,6 +33,12 @@ def ket_dm(vec):
     v = np.asarray(vec, dtype=complex)
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
+
+
+def _linear_inversion_start(settings, records):
+    """The projected linear-inversion start of one record list (the batch of one)."""
+    n, totals = tomography._count_arrays(settings, [[r.counts(2**settings[0].qubits) for r in records]])
+    return tomography.linear_inversion_start(settings, n, totals)[0]
 
 
 class TestProjectors:
@@ -156,14 +162,12 @@ class TestMle:
             if np.linalg.eigvalsh(rho).min() < 2 * tomography.START_EIGEN_FLOOR:
                 continue
             records = [CountRecord(r.setting, *r.counts()) for r in simulate_counts(settings, rho, 1e6)]
-            pmat, inverse, n, totals, _ = tomography._stack_measurements(settings, records)
-            theta = tomography.linear_inversion_start(inverse, n, totals, dim)
+            theta = _linear_inversion_start(settings, records)
             assert np.max(np.abs(kernels.rho_from_params(theta, dim) - rho)) < 1e-3
 
     def test_linear_inversion_start_is_full_rank_for_pure_data(self):
         records = simulate_counts(canonical_settings(2), BELL, 1e5)
-        _, inverse, n, totals, _ = tomography._stack_measurements(canonical_settings(2), records)
-        rho = kernels.rho_from_params(tomography.linear_inversion_start(inverse, n, totals, 4), 4)
+        rho = kernels.rho_from_params(_linear_inversion_start(canonical_settings(2), records), 4)
         w = np.linalg.eigvalsh(rho)
         assert w.min() == pytest.approx(tomography.START_EIGEN_FLOOR / (1 + 3 * tomography.START_EIGEN_FLOOR),
                                         rel=1e-6)
@@ -174,8 +178,7 @@ class TestMle:
         # (1 +- sqrt 3) / 2; the simplex projection makes them (1, 0) before the floor
         settings = canonical_settings(1)
         records = [CountRecord(s.label, 100, 0) for s in settings]
-        _, inverse, n, totals, _ = tomography._stack_measurements(settings, records)
-        rho = kernels.rho_from_params(tomography.linear_inversion_start(inverse, n, totals, 2), 2)
+        rho = kernels.rho_from_params(_linear_inversion_start(settings, records), 2)
         floor = tomography.START_EIGEN_FLOOR
         assert np.allclose(np.linalg.eigvalsh(rho), np.array([floor, 1.0]) / (1.0 + floor), atol=1e-12)
         assert np.allclose(bloch_of_rho(rho), np.full(3, (1.0 - floor) / (1.0 + floor) / np.sqrt(3)), atol=1e-12)
@@ -192,14 +195,12 @@ class TestMle:
         assert abs(1.0 - quantum_fidelity(cold.rho, warm.rho)) <= 1e-6
 
     def test_converged_is_the_optimizer_status(self, monkeypatch):
-        def stopped(fun, x0, **kwargs):
-            return SimpleNamespace(x=x0, fun=fun(x0)[0], success=False, nit=3,
-                                   message="ABNORMAL_TERMINATION_IN_LNSRCH")
-
-        monkeypatch.setattr(tomography, "minimize", stopped)
+        # a fit stopped by the iteration limit reports it
+        monkeypatch.setattr(tomography, "MAX_ITER", 3)
         result = mle_reconstruct(canonical_settings(2), simulate_counts(canonical_settings(2), BELL, 1e4))
         assert (result.converged, result.iterations) == (False, 3)
-        assert result.message == "ABNORMAL_TERMINATION_IN_LNSRCH"
+        assert result.message == tomography.STOP_MESSAGES[3] == "stopped: iteration limit MAX_ITER"
+        check_density(result.rho)
 
 
 REFERENCE_FITS = json.loads(
@@ -337,20 +338,36 @@ class TestBloch:
             rho_of_bloch([1.0, 1.0, 0.0])
 
 
+def _n00_fraction(resampled):
+    # the estimator gets every trial at once: (trials, 4) counts of one record
+    return resampled[:, 0] / np.maximum(resampled.sum(axis=-1), 1)
+
+
 class TestMonteCarloError:
     REC = CountRecord("Z", 1000, 2000, 3000, 4000)
 
     def test_constant_estimator(self, rng):
-        assert monte_carlo_error(self.REC, lambda r: 42.0, 50, rng) == 0.0
+        assert monte_carlo_error(self.REC, lambda r: np.full(len(r), 42.0), 50, rng) == 0.0
 
     def test_deterministic_under_seed(self):
-        est = lambda r: r.n00 / max(r.counts().sum(), 1)
+        est = _n00_fraction
         a = monte_carlo_error(self.REC, est, 100, np.random.default_rng(3))
         b = monte_carlo_error(self.REC, est, 100, np.random.default_rng(3))
         assert a == b
 
+    def test_resamples_drawn_as_one_trial_after_another(self):
+        # one poisson call over (trials, records, 4) draws what a loop over trials, then records, draws
+        records = [self.REC, CountRecord("X", 10, 0, 7, 1)]
+        seen = []
+        monte_carlo_error(records, lambda r: seen.append(r) or np.arange(len(r), dtype=float), 6,
+                          np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        looped = [[rng.poisson(r.counts()) for r in records] for _ in range(6)]
+        assert seen[0].shape == (6, 2, 4)
+        assert np.array_equal(seen[0], np.array(looped, dtype=float))
+
     def test_scaling_with_counts(self):
-        est = lambda r: r.n00 / max(r.counts().sum(), 1)
+        est = _n00_fraction
         small = CountRecord("s", 1000, 1000, 1000, 1000)
         large = CountRecord("l", 100000, 100000, 100000, 100000)
         e_small = monte_carlo_error(small, est, 4000, np.random.default_rng(11))
@@ -359,7 +376,7 @@ class TestMonteCarloError:
 
     def test_trials_validated(self, rng):
         with pytest.raises(ValueError):
-            monte_carlo_error(self.REC, lambda r: 0.0, 1, rng)
+            monte_carlo_error(self.REC, lambda r: np.zeros(len(r)), 1, rng)
 
     def test_warm_started_resamples_match_cold(self):
         settings = canonical_settings(2)
@@ -368,7 +385,11 @@ class TestMonteCarloError:
         point = mle_reconstruct(settings, records)
 
         def fidelity(start):
-            return lambda recs: quantum_fidelity(BELL, mle_reconstruct(settings, recs, start=start).rho)
+            # every resample in one batch, each from the same start
+            def fidelities(resampled):
+                starts = None if start is None else np.broadcast_to(start, (len(resampled), start.size))
+                return [quantum_fidelity(BELL, fit.rho) for fit in mle_reconstruct_batch(settings, resampled, starts)]
+            return fidelities
 
         cold = monte_carlo_error(records, fidelity(None), 8, np.random.default_rng(7))
         warm = monte_carlo_error(records, fidelity(point.params), 8, np.random.default_rng(7))
