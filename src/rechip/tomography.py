@@ -96,17 +96,6 @@ STOP_MESSAGES = (
 CONVERGED = (0, 1, 2)  # the status codes (indices into STOP_MESSAGES) of a converged row
 
 
-@dataclass(frozen=True)
-class Minimum:
-    """Per-row outcome of ``minimize``: the rows' minimisers x (B, D), their values
-    fun (B,), iteration counts nit (B,) and status codes (B,) into STOP_MESSAGES."""
-
-    x: np.ndarray
-    fun: np.ndarray
-    nit: np.ndarray
-    status: np.ndarray
-
-
 def minimize(fun, x0, scale, args=()):
     """Minimise every row of x0 (B, D) on its own by quasi-Newton (BFGS) steps.
 
@@ -119,15 +108,20 @@ def minimize(fun, x0, scale, args=()):
     limited-memory BFGS does with all steps kept (Shanno and Phua's scaling,
     renewed each step); it is held as gamma A + B, with A and B updated by
     the same recursion.  ``scale`` (a number or one per row) is the first
-    gamma, which sets the length of the first step.  A row stops when a step lowers f, or the next step predicts it
-    to lower f (g.Hg), by at most FTOL max(|f|, 1), when no gradient
-    component exceeds GTOL, when no decrease is found along the search
-    direction, or after MAX_ITER steps.  Rows are computed as stacks, so a
-    row's result does not depend on the other rows of the batch.
+    gamma, which sets the length of the first step.  A row stops when a
+    step lowers f, or the next step predicts it to lower f (g.Hg), by at
+    most FTOL max(|f|, 1), when no gradient component exceeds GTOL, when no
+    decrease is found along the search direction, or after MAX_ITER steps.
+    Rows are computed as stacks, so a row's result does not depend on the
+    other rows of the batch.
+
+    Returns the rows' minimisers (B, D), their values (B,), their iteration
+    counts (B,) and their status codes (B,), indices into STOP_MESSAGES.
     """
     x = np.array(x0, dtype=np.float64)
     b, dim = x.shape
-    result = Minimum(np.empty_like(x), np.empty(b), np.empty(b, dtype=np.int64), np.empty(b, dtype=np.int64))
+    result = (np.empty_like(x), np.empty(b), np.empty(b, dtype=np.int64), np.empty(b, dtype=np.int64))
+    x_out, f_out, nit_out, status_out = result
     rows = np.arange(b)
     f, g = fun(x, *args)
     f_prev = np.full(b, np.nan)
@@ -148,8 +142,8 @@ def minimize(fun, x0, scale, args=()):
             stop[:] = True
         if np.count_nonzero(stop):
             i = np.flatnonzero(stop)
-            result.x[rows[i]], result.fun[rows[i]], result.nit[rows[i]] = x[i], f[i], it
-            result.status[rows[i]] = np.select(
+            x_out[rows[i]], f_out[rows[i]], nit_out[rows[i]] = x[i], f[i], it
+            status_out[rows[i]] = np.select(
                 [np.zeros(len(i), dtype=bool) if failed is None else failed[i],
                  np.abs(g[i]).max(axis=-1) <= GTOL, decrease[i] <= 0, f_prev[i] - f[i] <= tol[i],
                  decrease[i] <= tol[i]], [4, 1, 4, 0, 2], 3)
@@ -356,13 +350,12 @@ def mle_reconstruct_batch(settings, counts, start=None):
 
     theta0 = linear_inversion_start(settings, n, totals) if start is None else start
     # the likelihood's curvature grows with the counts: a first step of about g / (total counts)
-    opt = minimize(objective, theta0, 1.0 / n.sum(axis=-1), args=(n, totals))
-    rho = kernels.rho_from_params(opt.x, dim)
+    theta, f, nit, status = minimize(objective, theta0, 1.0 / n.sum(axis=-1), args=(n, totals))
+    rho = kernels.rho_from_params(theta, dim)
     # Hermitise exactly; the parameterisation already guarantees PSD and trace 1
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
-    return [MLEResult(rho=rho[b], log_likelihood=float(-opt.fun[b]), iterations=int(opt.nit[b]),
-                      converged=bool(opt.status[b] in CONVERGED), message=STOP_MESSAGES[opt.status[b]],
-                      params=opt.x[b])
+    return [MLEResult(rho=rho[b], log_likelihood=float(-f[b]), iterations=int(nit[b]),
+                      converged=bool(status[b] in CONVERGED), message=STOP_MESSAGES[status[b]], params=theta[b])
             for b in range(len(n))]
 
 
