@@ -311,7 +311,8 @@ def cmd_hom_dip(args):
 def cmd_fringe_fit(args):
     fit = calibration.fit_fringe(_read_input(calibration.read_fringe_csv, args.input))
     return {"schema": SCHEMA, "experiment": "fringe-fit", "A": fit.amplitude, "C": fit.contrast,
-            "rms": fit.rms_residual, **vars(fit.curve)}, None
+            "rms": fit.rms_residual, "evaluations": fit.evaluations, "stop": fit.stop,
+            **vars(fit.curve)}, None
 
 
 def cmd_tomo(args):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from rechip.calibration import (
     write_fringe_csv,
 )
 from rechip.cli import main
+from rechip.experiments import fringe_scan
+from rechip.noise import NoiseModel
 
 CURVE = HeaterCurve(a0=0.3, a2=0.35, a3=0.01, a4=-0.0008)
 
@@ -138,6 +141,37 @@ class TestFitFringe:
         assert 0.0 <= fit.contrast <= 1.0
 
 
+REFERENCE_FITS = json.loads(
+    (Path(__file__).parent / "data" / "fringe_reference_fits.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", REFERENCE_FITS, ids=[c["label"] for c in REFERENCE_FITS])
+def test_reference_fits(case):
+    """The fit reaches the recorded winning start's optimum (see the file's "about").
+
+    A and C match the polished optimum to 1e-6 and the parent's finite-difference
+    fit to 1e-5.  The rms is no worse than the parent's, up to 1e-9 of it plus a
+    rounding floor of 1e-15 A, where a noiseless fringe's rms sits.
+    """
+    counts = np.array(case["counts"])
+    fit = fit_fringe(np.column_stack([np.linspace(*case["volts"]), counts]))
+    assert fit.amplitude == pytest.approx(case["optimum"]["A"], rel=1e-6)
+    assert fit.contrast == pytest.approx(case["optimum"]["C"], rel=1e-6)
+    assert fit.amplitude == pytest.approx(case["A"], rel=1e-5)
+    assert fit.contrast == pytest.approx(case["C"], rel=1e-5)
+    assert fit.rms_residual <= case["rms"] * (1.0 + 1e-9) + 1e-15 * case["A"]
+
+
+@pytest.mark.parametrize("seed", [2, 17, 19])
+def test_one_fringe_scan_fit_is_short(seed):
+    """One-fringe scans whose second start wanders off: the winner converges in a few hundred evaluations at most."""
+    scan = fringe_scan(3, np.linspace(0.0, 7.0, 120), HeaterCurve(0.1, 0.12, 0.002, 0.0),
+                       NoiseModel(), np.random.default_rng(seed))
+    fit = fit_fringe(scan.samples(0))
+    assert fit.stop.startswith("converged: ")
+    assert fit.evaluations <= 200
+
+
 class TestFringeFiles:
     def test_roundtrip(self, tmp_path):
         samples = [(0.0, 10.5), (1.0, 20.25)]
@@ -157,4 +191,6 @@ class TestFringeFiles:
         assert main(["fringe-fit", str(path), "--output", str(out)]) == 0
         capsys.readouterr()
         doc = json.loads(out.read_text())
-        assert set(doc) == {"A", "C", "a0", "a2", "a3", "a4", "rms", "experiment", "schema"}
+        assert set(doc) == {"A", "C", "a0", "a2", "a3", "a4", "rms", "evaluations", "stop",
+                            "experiment", "schema"}
+        assert doc["stop"].startswith("converged: ")

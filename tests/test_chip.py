@@ -55,13 +55,15 @@ class TestUPrep:
         assert abs(out[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_exponential_factors(self, rng):
-        from scipy.linalg import expm
-
         sy = np.array([[0, -1j], [1j, 0]])
         sz = np.diag([1.0, -1.0]).astype(complex)
+
+        def rotation(theta, sigma):  # exp(-i theta sigma / 2) for a Pauli matrix sigma
+            return np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * sigma
+
         for _ in range(10):
             phi_y, phi_z = rng.uniform(0, TWO_PI, 2)
-            expect = expm(-0.5j * phi_z * sz) @ expm(-0.5j * phi_y * sy)
+            expect = rotation(phi_z, sz) @ rotation(phi_y, sy)
             assert np.max(np.abs(u_prep(phi_y, phi_z) - expect)) < 1e-12
 
 

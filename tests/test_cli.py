@@ -10,9 +10,10 @@ import pytest
 
 from rechip.calibration import HeaterCurve, fringe_model, write_fringe_csv
 from rechip.chip import PhaseConfig, default_netlist
+from rechip.experiments import fringe_scan
 import rechip
 from rechip.cli import build_parser, main
-from rechip.noise import write_count_records
+from rechip.noise import NoiseModel, write_count_records
 from rechip.optics import Coupler, Netlist, netlist_to_json
 from rechip.tomography import canonical_settings, simulate_counts
 
@@ -191,6 +192,27 @@ def _one_error_line(capsys, text):
     assert text in err
 
 
+SMALL_RUNS = {
+    "verify-chip": [],
+    "benchmark-random": ["--n", "4", "--seed", "1"],
+    "bell-suite": ["--seed", "2", "--mc-trials", "0"],
+    "chsh-manifold": ["--exact", "--step", "2.0943951023931953"],
+    "mixed-suite": ["--n", "2", "--seed", "2"],
+    "hom-dip": ["--seed", "5", "--points", "11"],
+    "fringe-fit": ["fringe.csv"],
+    "tomo": ["counts.csv"],
+}
+
+
+def _small_run_argv(command, tmp_path):
+    """argv of a small run of every subcommand, its input files written to tmp_path."""
+    curve = HeaterCurve(0.2, 0.4, 0.005, -0.0005)
+    volts = np.linspace(0, 7, 60)
+    write_fringe_csv(tmp_path / "fringe.csv", list(zip(volts, fringe_model(5000.0, 0.97, curve, volts))))
+    write_count_records(tmp_path / "counts.csv", simulate_counts(canonical_settings(1), np.eye(2) / 2, 1e3))
+    return [command] + [str(tmp_path / a) if a.endswith(".csv") else a for a in SMALL_RUNS[command]]
+
+
 class TestFreshProcess:
     """A new interpreter writes nothing to stderr beyond the diagnostic itself."""
 
@@ -243,6 +265,24 @@ class TestFreshProcess:
                   "smin, smax = chsh_extrema(); "
                   f"code = main(['chsh-manifold', '--exact', '--output', {str(tmp_path / 'out.json')!r}]); "
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(code)")
+        out = self._run_python("-c", script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("command", ["--version", *sorted(SMALL_RUNS)])
+    def test_no_command_imports_scipy(self, command, tmp_path):
+        if command == "--version":
+            argv = ["--version"]
+        else:
+            argv = _small_run_argv(command, tmp_path) + ["--output", str(tmp_path / "out")]
+        if command == "fringe-fit":
+            # a measured-like scan: Poisson counts over one fringe, with a start that wanders off
+            scan = fringe_scan(3, np.linspace(0.0, 7.0, 120), HeaterCurve(0.1, 0.12, 0.002, 0.0),
+                               NoiseModel(), np.random.default_rng(19))
+            write_fringe_csv(tmp_path / "fringe.csv", scan.samples(0))
+        script = ("import sys\nfrom rechip.cli import main\n"
+                  f"try:\n    code = main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\nsys.exit(code)")
         out = self._run_python("-c", script)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "[]"
@@ -524,24 +564,7 @@ class TestReportContract:
     carrying schema and experiment, strict JSON (no NaN or Infinity) in --output, and
     plain numbers in every CSV data field."""
 
-    ARGS = {
-        "verify-chip": [],
-        "benchmark-random": ["--n", "4", "--seed", "1"],
-        "bell-suite": ["--seed", "2", "--mc-trials", "0"],
-        "chsh-manifold": ["--exact", "--step", "2.0943951023931953"],
-        "mixed-suite": ["--n", "2", "--seed", "2"],
-        "hom-dip": ["--seed", "5", "--points", "11"],
-        "fringe-fit": ["fringe.csv"],
-        "tomo": ["counts.csv"],
-    }
     CSV = ("benchmark-random", "chsh-manifold", "hom-dip")
-
-    def _argv(self, command, tmp_path):
-        curve = HeaterCurve(0.2, 0.4, 0.005, -0.0005)
-        volts = np.linspace(0, 7, 60)
-        write_fringe_csv(tmp_path / "fringe.csv", list(zip(volts, fringe_model(5000.0, 0.97, curve, volts))))
-        write_count_records(tmp_path / "counts.csv", simulate_counts(canonical_settings(1), np.eye(2) / 2, 1e3))
-        return [command] + [str(tmp_path / a) if a.endswith(".csv") else a for a in self.ARGS[command]]
 
     def _summary(self, out, command):
         lines = out.splitlines()
@@ -550,10 +573,10 @@ class TestReportContract:
         assert isinstance(doc, dict)
         assert (doc["schema"], doc["experiment"]) == (1, command)
 
-    @pytest.mark.parametrize("command", sorted(ARGS))
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
     def test_json_report(self, command, tmp_path, capsys):
         path = tmp_path / "report.json"
-        code, out = run(self._argv(command, tmp_path) + ["--output", str(path)], capsys)
+        code, out = run(_small_run_argv(command, tmp_path) + ["--output", str(path)], capsys)
         assert code == 0
         self._summary(out, command)
         text = path.read_text()
@@ -568,7 +591,7 @@ class TestReportContract:
     @pytest.mark.parametrize("command", CSV)
     def test_csv_report(self, command, tmp_path, capsys):
         path = tmp_path / "report.csv"
-        code, out = run(self._argv(command, tmp_path) + ["--format", "csv", "--output", str(path)], capsys)
+        code, out = run(_small_run_argv(command, tmp_path) + ["--format", "csv", "--output", str(path)], capsys)
         assert code == 0
         self._summary(out, command)
         with open(path, newline="") as fh:
