@@ -130,11 +130,15 @@ def device_probs(config, noise, rng, input_state="00"):
 
 
 def _outcome_counts(p, noise, rngs):
-    """Expected counts for (N, outcomes) probabilities, or Poisson draws with row k from rngs[k]."""
+    """Expected counts for (N, outcomes) probabilities, or Poisson draws with row k from rngs[k].
+
+    A row draws one scalar per outcome, in order: the same numbers as g.poisson(row), which
+    samples element by element, without numpy's per-array argument checks.
+    """
     lam = expected_counts(p, noise)
     if rngs is None:
         return lam
-    return np.array([g.poisson(row) for g, row in zip(rngs, lam)], dtype=float)
+    return np.array([[g.poisson(x) for x in row] for g, row in zip(rngs, lam.tolist())], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +178,11 @@ class BenchmarkReport(_FidelityStats):
         }
 
 
+def _random_configs(rngs):
+    """Eight phases uniform on [0, 2*pi) per generator: the draws of g.uniform(0, 2*pi, 8), bit for bit."""
+    return np.array([g.random(8) for g in rngs]) * TWO_PI
+
+
 def random_config_benchmark(n=995, noise=None, rng=None, exact=False, jobs=1):
     """Statistical fidelity between simulated and ideal coincidence statistics
     over n configurations drawn uniformly from [0, 2*pi)^8.
@@ -193,7 +202,7 @@ def random_config_benchmark(n=995, noise=None, rng=None, exact=False, jobs=1):
             cfg_rngs = [np.random.default_rng(i) for i in range(lo, hi)]
         else:
             cfg_rngs = children[lo:hi]
-        configs = np.array([g.uniform(0.0, TWO_PI, 8) for g in cfg_rngs])
+        configs = _random_configs(cfg_rngs)
         theory = coincidence_probs(configs, "00", model="gate")
         sim_rngs = None if exact or children is None else cfg_rngs
         probs = device_probs(configs, noise, sim_rngs)
@@ -235,14 +244,13 @@ class SuiteReport(_FidelityStats):
             "mean": self.mean,
             "std": self.std,
             "fits_not_converged": sum(e.fits_not_converged for e in self.entries),
-            "entries": [],
+            "entries": [{"label": e.label, "fidelity": e.fidelity, "error": e.error} for e in self.entries],
         }
-        for e in self.entries:
-            item = {"label": e.label, "fidelity": e.fidelity, "error": e.error}
-            if include_states:
-                item["rho"] = rho_to_list(e.rho)
-                item["target"] = rho_to_list(e.target)
-            doc["entries"].append(item)
+        if include_states:
+            rhos = rho_to_list(np.array([e.rho for e in self.entries]))
+            targets = rho_to_list(np.array([e.target for e in self.entries]))
+            for item, rho, target in zip(doc["entries"], rhos, targets):
+                item.update(rho=rho, target=target)
         return doc
 
 
@@ -407,9 +415,8 @@ def _chsh_points(alphas, betas, noise, rngs, mc_trials):
     s = _chsh_of_counts(counts)
     if mc_trials < 2 or rngs is None:
         return s, np.zeros_like(s)
-    resampled = [g.poisson(np.broadcast_to(c, (mc_trials, 4, 4))).astype(float)
-                 for g, c in zip(rngs, counts)]
-    return s, np.array([np.std(_chsh_of_counts(r), ddof=1) for r in resampled])
+    resampled = np.array([g.poisson(c, (mc_trials, 4, 4)) for g, c in zip(rngs, counts)], dtype=float)
+    return s, np.std(_chsh_of_counts(resampled), axis=-1, ddof=1)
 
 
 def chsh_sum(alpha, beta, noise=None, rng=None, mc_trials=0):

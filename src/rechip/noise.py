@@ -119,7 +119,8 @@ def apply_phase_noise(config, sigma, rng):
     if sigma == 0.0:
         return config
     single = isinstance(config, PhaseConfig)
-    errors = np.array([g.normal(0.0, sigma, size=8) for g in ([rng] if single else rng)])
+    # sigma * z is the double g.normal(0, sigma, 8) returns, without numpy's per-call checks
+    errors = sigma * np.array([g.standard_normal(8) for g in ([rng] if single else rng)])
     noisy = wrap_phases(phase_batch(config) + errors)
     return PhaseConfig(noisy[0]) if single else noisy
 

@@ -203,15 +203,19 @@ def minimize(fun, x0, scale, args=()):
 
 
 def check_density(rho):
-    """Validate Hermiticity and trace 1 to 1e-10 and eigenvalues above -1e-9; returns rho unchanged."""
+    """Validate Hermiticity and trace 1 to 1e-10 and eigenvalues above -1e-9; returns rho unchanged.
+
+    A matrix with a NaN or infinite entry fails the Hermiticity test (its defect is NaN).
+    """
     rho = np.asarray(rho, dtype=complex)
-    defect = np.max(np.abs(rho - rho.conj().T))
-    if defect > 1e-10:
+    adj = rho.conj().T
+    defect = abs(rho - adj).max()
+    if not defect <= 1e-10:
         raise ValueError(f"density matrix not Hermitian (defect {defect:.2e})")
-    tr = np.trace(rho).real
+    tr = rho.trace().real
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"density matrix trace {tr} != 1")
-    wmin = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
+    wmin = np.linalg.eigvalsh((rho + adj) / 2)[0]  # eigenvalues come in ascending order
     if wmin < -1e-9:
         raise ValueError(f"density matrix has eigenvalue {wmin:.2e} < -1e-09")
     return rho

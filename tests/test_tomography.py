@@ -65,6 +65,43 @@ class TestProjectors:
                 assert np.max(np.abs(p @ p - p)) < 1e-12  # rank-1 idempotent
 
 
+class TestCheckDensity:
+    ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+
+    def rotated(self, eigenvalues):
+        return self.ROTATION @ np.diag(eigenvalues).astype(complex) @ self.ROTATION.T
+
+    def test_accepts_a_state_and_returns_it(self):
+        rho = self.rotated([0.7, 0.3])
+        assert np.array_equal(check_density(rho), rho)
+
+    def test_rejects_non_hermitian(self):
+        rho = self.rotated([0.7, 0.3])
+        rho[0, 1] += 2e-10
+        with pytest.raises(ValueError, match=r"not Hermitian \(defect 2\.00e-10\)"):
+            check_density(rho)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.1, np.nan)])
+    def test_rejects_non_finite(self, entry):
+        rho = self.rotated([0.7, 0.3])
+        rho[1, 1] = entry
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_density(rho)
+
+    def test_rejects_trace_not_one(self):
+        with pytest.raises(ValueError, match=r"trace 1\.0000000004\d* != 1"):
+            check_density(self.rotated([0.7, 0.3 + 5e-10]))
+
+    def test_rejects_negative_eigenvalue(self):
+        with pytest.raises(ValueError, match=r"eigenvalue -2\.00e-09 < -1e-09"):
+            check_density(self.rotated([1.0 + 2e-9, -2e-9]))
+
+    def test_accepts_eigenvalue_within_tolerance(self):
+        rho = self.rotated([1.0 + 5e-10, -5e-10])
+        assert np.array_equal(check_density(rho), rho)
+
+
 class TestCanonicalSettings:
     def test_single_qubit_count(self):
         settings = canonical_settings(1)
