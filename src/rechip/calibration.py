@@ -82,42 +82,17 @@ def fringe_model(amplitude, contrast, curve, v):
     return amplitude * (1.0 - contrast * np.cos(curve.phase(np.asarray(v, dtype=float)) / 2.0) ** 2)
 
 
-def _fringe_peaks(volts, counts):
-    """Voltages of prominent fringe maxima (smoothed, noise-blip resistant)."""
-    w = max(3, min(5, len(counts) // 4 * 2 + 1))
-    smooth = np.convolve(counts, np.ones(w) / w, mode="same")
-    floor = 0.75 * smooth.max()
-    peaks = []
-    for k in range(1, len(smooth) - 1):
-        if smooth[k] >= smooth[k - 1] and smooth[k] > smooth[k + 1]:
-            if smooth[k] >= floor and volts[k] >= 0.5:
-                peaks.append(volts[k])
-    return peaks
-
-
-def _initial_guesses(volts, counts):
-    """Candidate start vectors (A, C, a0, a2, a3, a4); a2 seeded from fringe maxima.
-
-    With a0 near zero the m-th maximum sits at phi = (2m - 1) pi, so the
-    first peak position and the first-to-second spacing give independent
-    a2 seeds; the best-residual start wins.
-    """
+def _initial_guesses(counts):
+    """Start rows (A, C, a0, a2, a3, a4): A and C from the extreme counts, a0 and a2 on the grid."""
     amp = float(np.max(counts))
     cmin = float(np.min(counts))
     contrast = np.clip(1.0 - cmin / amp if amp > 0 else 0.5, 0.05, 1.0)
-    peaks = _fringe_peaks(volts, counts)
-    a2_seeds = []
-    if peaks:
-        a2_seeds.append(np.pi / peaks[0] ** 2)
-    if len(peaks) >= 2 and peaks[1] > peaks[0]:
-        a2_seeds.append(2.0 * np.pi / (peaks[1] ** 2 - peaks[0] ** 2))
-    if not a2_seeds:
-        vmid = volts[len(volts) // 2]
-        a2_seeds.append(np.pi / max(vmid, 1.0) ** 2)
-    return [np.array([amp, contrast, 0.0, a2, 0.0, 0.0]) for a2 in dict.fromkeys(a2_seeds)]
+    return np.array([[amp, contrast, a0, a2, 0.0, 0.0] for a2 in START_A2 for a0 in START_A0])
 
 
 # Levenberg-Marquardt settings of fit_fringe (see its docstring)
+START_A2 = np.geomspace(0.05, 1.0, 12)  # a2 of the starts: under half a fringe to about 8 over 0..7 V
+START_A0 = (0.0, np.pi)  # a0 of the starts, each paired with every a2
 FTOL = 1e-15  # relative cost reduction, actual and predicted, that ends a start
 XTOL = 1e-15  # scaled step length, relative to the scaled parameters, that ends a start
 GTOL = 1e-15  # largest scaled gradient cosine that ends a start
@@ -208,8 +183,9 @@ def fit_fringe(samples):
     least one full fringe period.
 
     Method: bounded Levenberg-Marquardt (More, "The Levenberg-Marquardt
-    algorithm: implementation and theory", LNM 630, 1978) from every start of
-    _initial_guesses at once, as one (starts, 6) array program with the
+    algorithm: implementation and theory", LNM 630, 1978) from 24 fixed
+    starts at once (a2 on START_A2 times a0 on START_A0, A and C from the
+    extreme counts, a3 = a4 = 0), as one (starts, 6) array program with the
     analytic Jacobian of fringe_model.  The damping term is lambda D^2, with
     D the running maximum of the Jacobian's column norms (More's scaling);
     lambda follows the gain ratio (Nielsen's update).  Bounds (A >= 0,
@@ -239,8 +215,7 @@ def fit_fringe(samples):
     if not np.all(np.isfinite(samples)):
         raise ValueError("fringe samples must be finite")
     volts, counts = samples[:, 0], samples[:, 1]
-    x, cost, evaluations, status = _levenberg_marquardt(
-        np.array(_initial_guesses(volts, counts)), volts, counts)
+    x, cost, evaluations, status = _levenberg_marquardt(_initial_guesses(counts), volts, counts)
     best = int(np.argmin(cost))
     if status[best] not in _CONVERGED:
         raise CalibrationError(f"fringe fit did not converge: {STOP_MESSAGES[status[best]]}")

@@ -138,8 +138,15 @@ def _add_options(sub, csv=False, sampling=False, jobs_help=None, device_noise=Tr
     sub.add_argument("--pairs", type=float, default=noise.DEFAULT_MEAN_PAIRS)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that rejects a value with one stderr line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="rechip", description=__doc__)
+    parser = _Parser(prog="rechip", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rechip {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -209,7 +216,7 @@ def _config_value(key, action, value):
 
 def _apply_config_file(parser, argv):
     # --config supplies defaults, keyed by any subcommand's options; explicit flags win
-    probe = argparse.ArgumentParser(add_help=False)
+    probe = _Parser(prog="rechip", add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
     if known.config:

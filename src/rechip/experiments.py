@@ -689,7 +689,7 @@ def fringe_scan(heater, voltages, curve, noise=None, rng=None):
         raise ValueError("heater index must be 1..8")
     noise = noise if noise is not None else NoiseModel.noiseless()
     voltages = np.asarray(voltages, dtype=float)
-    phi = np.array([phase_of_voltage(curve, v) for v in voltages])
+    phi = phase_of_voltage(curve, voltages)
     amp = noise.mean_pairs
     contrast = noise.indistinguishability
     expected0 = amp * (1.0 - contrast * np.cos(phi / 2.0) ** 2)

@@ -164,12 +164,40 @@ def test_reference_fits(case):
 
 @pytest.mark.parametrize("seed", [2, 17, 19])
 def test_one_fringe_scan_fit_is_short(seed):
-    """One-fringe scans whose second start wanders off: the winner converges in a few hundred evaluations at most."""
+    """Scans of about one fringe, which once ran a start to its evaluation cap: the winner converges in at most 200."""
     scan = fringe_scan(3, np.linspace(0.0, 7.0, 120), HeaterCurve(0.1, 0.12, 0.002, 0.0),
                        NoiseModel(), np.random.default_rng(seed))
     fit = fit_fringe(scan.samples(0))
     assert fit.stop.startswith("converged: ")
     assert fit.evaluations <= 200
+
+
+def test_scan_with_a_noise_blip_fits():
+    """A 1e3-pair scan whose Poisson blip once passed for a fringe maximum and failed the fit."""
+    scan = fringe_scan(1, np.linspace(0.0, 7.0, 120), HeaterCurve(0.25, 0.5, 0.004, -0.0002),
+                       NoiseModel(mean_pairs=1e3), np.random.default_rng([2, 0]))
+    fit = fit_fringe(scan.samples(0))
+    assert fit.stop.startswith("converged: ")
+    assert fit.curve.is_monotone()
+    assert fit.rms_residual <= 0.1 * fit.amplitude
+
+
+def test_low_count_sweep_fails_at_most_once():
+    """100 random monotone curves at 1e3 pairs: at most one valid scan raises CalibrationError."""
+    rng = np.random.default_rng(12345)
+    failures = 0
+    for k in range(100):
+        curve = HeaterCurve(rng.uniform(0, 1), rng.uniform(0.1, 0.5), rng.uniform(-0.01, 0.01),
+                            rng.uniform(-5e-4, 5e-4))
+        if not curve.is_monotone():
+            continue
+        scan = fringe_scan(1, np.linspace(0.0, 7.0, 120), curve, NoiseModel(mean_pairs=1e3),
+                           np.random.default_rng([k, 2]))
+        try:
+            fit_fringe(scan.samples(0))
+        except CalibrationError:
+            failures += 1
+    assert failures <= 1
 
 
 class TestFringeFiles:

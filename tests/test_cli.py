@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rechip.calibration import HeaterCurve, fringe_model, write_fringe_csv
 from rechip.chip import PhaseConfig, default_netlist
@@ -173,6 +176,50 @@ class TestArgumentValidation:
         path.write_text("rx,ry,rz\n")
         _assert_exit_2_with_one_line(["mixed-suite", "--targets", str(path), "--seed", "1"], tmp_path, capsys)
 
+    def test_value_of_the_wrong_type_gives_one_line(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["benchmark-random", "--n", "abc", "--seed", "1"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "rechip benchmark-random: error: argument --n: invalid int value: 'abc'\n"
+
+
+def _number_options():
+    """(subcommand, option, samples) for every option that takes a number."""
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, a.option_strings[-1], "seed" in {b.dest for b in sub._actions})
+            for name, sub in subs.choices.items() for a in sub._actions
+            if a.option_strings and a.type in (int, float)]
+
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "-0.0", "abc", "1.5")
+
+
+@given(option=st.sampled_from(_number_options()), value=st.sampled_from(FUZZ_VALUES))
+def test_fuzzed_number_option(option, value):
+    """Any number option at an awkward value exits 0, 1 or 2 with no traceback, at most one stderr
+    line on failure, and strict JSON on stdout.  No such value asks for a run above its default size:
+    --n and --points parse only 0 and -1, and a --step this small is rejected."""
+    command, flag, samples = option
+    argv = [command, *([os.devnull] if command == "tomo" else []), f"{flag}={value}"]
+    if samples and flag != "--seed":
+        argv += ["--seed", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert len(err.getvalue().splitlines()) <= 1
+
+    def reject(name):
+        raise AssertionError(f"non-finite {name} on stdout")
+
+    for line in out.getvalue().splitlines():
+        json.loads(line, parse_constant=reject)
+
 
 def _assert_exit_2_with_one_line(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
@@ -276,7 +323,7 @@ class TestFreshProcess:
         else:
             argv = _small_run_argv(command, tmp_path) + ["--output", str(tmp_path / "out")]
         if command == "fringe-fit":
-            # a measured-like scan: Poisson counts over one fringe, with a start that wanders off
+            # a measured-like scan: Poisson counts over about one fringe
             scan = fringe_scan(3, np.linspace(0.0, 7.0, 120), HeaterCurve(0.1, 0.12, 0.002, 0.0),
                                NoiseModel(), np.random.default_rng(19))
             write_fringe_csv(tmp_path / "fringe.csv", scan.samples(0))

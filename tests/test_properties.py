@@ -1,11 +1,14 @@
-"""Invariants of the maximum-likelihood reconstruction and of the seeded random streams, as hypothesis properties."""
+"""Invariants of the maximum-likelihood reconstruction, the device statistics and the seeded random
+streams, as hypothesis properties."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rechip import experiments
-from rechip.chip import PhaseConfig, phase_batch, wrap_phases
+from rechip.chip import BASIS_LABELS, PhaseConfig, phase_batch, wrap_phases
 from rechip.noise import CountRecord, NoiseModel, apply_phase_noise, expected_counts
 from rechip.tomography import canonical_settings, check_density, mle_reconstruct, mle_reconstruct_batch
 
@@ -132,3 +135,40 @@ def test_chsh_resample_std_matches_one_std_per_point(seed, points, mc_trials, me
     assert np.array_equal(s, experiments._chsh_of_counts(counts))
     assert np.array_equal(std, expected)
     assert _same_states(rngs, twins)
+
+
+@given(n=st.integers(1, 32), seed=SEED, sigma=st.floats(0.0, 0.5), v=st.floats(0.0, 1.0),
+       accidental=st.floats(0.0, 10.0), state=st.sampled_from(BASIS_LABELS))
+def test_device_rows_are_distributions_with_accidentals(n, seed, sigma, v, accidental, state):
+    """Device rows are distributions, and accidentals add accidental_fraction / 4 of the pairs to each outcome."""
+    rng = np.random.default_rng(seed)
+    noise = NoiseModel(phase_sigma=sigma, indistinguishability=v, accidental_fraction=accidental, mean_pairs=1.0)
+    p = experiments.device_probs(rng.random((n, 8)) * experiments.TWO_PI, noise, rng.spawn(n), state).as_array()
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    assert np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-12
+    lam = expected_counts(p, noise)
+    assert np.all(lam >= accidental / 4)
+    assert np.max(np.abs(lam.sum(axis=-1) - (1.0 + accidental))) <= 1e-12 * (1.0 + accidental)
+
+
+JOBS = st.integers(1, 6)
+
+
+def _report_bytes(report):
+    return json.dumps(report.to_dict(), sort_keys=True).encode()
+
+
+@given(seed=SEED, n=st.integers(1, 40), jobs=JOBS, other=JOBS)
+def test_benchmark_does_not_depend_on_jobs(seed, n, jobs, other):
+    runs = [experiments.random_config_benchmark(n, NoiseModel(), np.random.default_rng(seed), jobs=j)
+            for j in (jobs, other)]
+    assert _report_bytes(runs[0]) == _report_bytes(runs[1])
+
+
+@given(seed=SEED, side=st.integers(2, 8), mc_trials=st.sampled_from([0, 2, 5]), jobs=JOBS, other=JOBS)
+def test_manifold_does_not_depend_on_jobs(seed, side, mc_trials, jobs, other):
+    step = experiments.TWO_PI / (side - 1)
+    runs = [experiments.chsh_manifold(step, NoiseModel(), np.random.default_rng(seed), mc_trials, jobs=j)
+            for j in (jobs, other)]
+    assert runs[0].s.shape == (side, side)
+    assert _report_bytes(runs[0]) == _report_bytes(runs[1])
