@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -327,12 +328,19 @@ def cmd_tomo(args):
     if not records:
         raise InputFileError(f"{args.input}: no count records")
     qubits = args.qubits or (2 if len(records[0].setting) == 2 else 1)
-    by_label = {r.setting: r for r in records}
     settings = tomography.canonical_settings(qubits)
-    missing = [s.label for s in settings if s.label not in by_label]
-    if missing:
-        raise InputFileError(f"{args.input}: missing settings {missing}")
-    result = tomography.mle_reconstruct(settings, [by_label[s.label] for s in settings])
+    labels = [s.label for s in settings]
+    by_label = {r.setting: r for r in records}
+    rejected = {
+        f"unknown {qubits}-qubit settings": [r.setting for r in records if r.setting not in labels],
+        "duplicate settings": [label for label, n in Counter(r.setting for r in records).items() if n > 1],
+        "missing settings": [label for label in labels if label not in by_label],
+        "n10/n11 counts in one-qubit settings": [r.setting for r in records if qubits == 1 and (r.n10 or r.n11)],
+    }
+    for problem, bad in rejected.items():
+        if bad:
+            raise InputFileError(f"{args.input}: {problem} {bad}")
+    result = tomography.mle_reconstruct(settings, [by_label[label] for label in labels])
     return {
         "schema": SCHEMA,
         "experiment": "tomo",

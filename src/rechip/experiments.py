@@ -68,10 +68,6 @@ def _run_chunked(fn, n, jobs):
     return np.concatenate([fn(bounds[k], bounds[k + 1]) for k in range(chunks)], axis=-1)
 
 
-def _spawn(rng, n):
-    return rng.spawn(n) if rng is not None else [None] * n
-
-
 # ---------------------------------------------------------------------------
 # state preparation
 # ---------------------------------------------------------------------------
@@ -254,37 +250,30 @@ class SuiteReport(_FidelityStats):
         return doc
 
 
-def _measurement_phases(prep, setting):
-    """Device phases realising an analysis setting on a prepared state."""
-    phis = list(prep.phis[:4]) + [0.0, 0.0, 0.0, 0.0]
-    phis[4], phis[5] = setting.angles[0]
-    if setting.qubits == 2:
-        phis[6], phis[7] = setting.angles[1]
-    return phis
-
-
 def tomography_records(prep, noise, rng, qubits=2):
-    """Simulated count records over the canonical settings for a prepared state.
+    """Settings and simulated (preparations, settings, outcomes) whole counts for prepared states.
 
-    Single-qubit tomography analyses qubit A (its own measurement stage) and
-    marginalises over qubit B's outcome.  ``prep`` may also be a sequence of
-    preparations, with rng None or one generator per preparation; the records
-    then come as one list per preparation.  Every setting of every
-    preparation runs as one batch, and each preparation's generator spawns
-    one child per setting, so a preparation's records do not depend on the
-    others in the batch.
+    rng is None (exact) or one generator per preparation, which spawns one
+    child per setting, so a preparation's counts do not depend on the others;
+    every setting of every preparation runs as one batch.  Single-qubit
+    tomography analyses qubit A (its own measurement stage) and marginalises
+    over qubit B's outcome.  A single PhaseConfig (rng None or a generator)
+    gets one CountRecord per setting instead: the rows of a counts file.
     """
     if isinstance(prep, PhaseConfig):
-        settings, records = tomography_records([prep], noise, None if rng is None else [rng], qubits)
-        return settings, records[0]
+        settings, counts = tomography_records([prep], noise, None if rng is None else [rng], qubits)
+        return settings, [CountRecord.from_counts(s.label, c) for s, c in zip(settings, counts[0])]
     settings = canonical_settings(qubits)
     children = None if rng is None else [c for g in rng for c in g.spawn(len(settings))]
-    configs = np.array([_measurement_phases(p, s) for p in prep for s in settings])
-    probs = device_probs(configs, noise, children).as_array()
+    # preparation phases phi1..phi4 on each row, each setting's analysis angles after them
+    phis = np.zeros((len(prep), len(settings), 8))
+    phis[..., :4] = np.array([p.phis[:4] for p in prep])[:, None]
+    phis[..., 4:4 + 2 * qubits] = [np.ravel(s.angles) for s in settings]
+    probs = device_probs(phis.reshape(-1, 8), noise, children).as_array()
     if qubits == 1:
         probs = np.stack([probs[:, 0] + probs[:, 1], probs[:, 2] + probs[:, 3]], axis=-1)
-    counts = _outcome_counts(probs, noise, children).reshape(len(prep), len(settings), -1)
-    return settings, [[CountRecord.from_counts(s.label, c) for s, c in zip(settings, row)] for row in counts]
+    counts = np.rint(_outcome_counts(probs, noise, children))
+    return settings, counts.reshape(len(prep), len(settings), -1)
 
 
 def _check_mc_trials(mc_trials):
@@ -293,29 +282,29 @@ def _check_mc_trials(mc_trials):
         raise ValueError(f"mc_trials must not be negative, got {mc_trials}")
 
 
-def _tomographs(labels, settings, records, targets, mc_trials, rngs):
-    """SuiteEntries of a suite's reconstructions, every point estimate fitted in one batch.
+def _tomographs(labels, settings, counts, targets, mc_trials, rngs):
+    """SuiteEntries of a suite's reconstructions from (targets, settings, outcomes) counts,
+    every point estimate fitted in one batch.
 
     An entry's error is the Poisson-resampled std of its fidelity (with
-    mc_trials >= 2 and an rng); a target's resamples are one batch,
-    warm-started from its point estimate.
+    mc_trials >= 2 and rngs, one generator per target); a target's resamples
+    are one batch, warm-started from its point estimate.
     """
-    outcomes = 2 ** settings[0].qubits
-    points = mle_reconstruct_batch(settings, [[r.counts(outcomes) for r in recs] for recs in records])
+    points = mle_reconstruct_batch(settings, counts)
     fidelities = quantum_fidelity(np.array(targets), np.array([point.rho for point in points]))
     entries = []
-    for label, recs, target, point, fidelity, rng in zip(labels, records, targets, points, fidelities, rngs):
+    for k, (label, target, point, fidelity) in enumerate(zip(labels, targets, points, fidelities)):
         failed = [not point.converged]
 
         def resampled_fidelities(resampled):
             start = np.broadcast_to(point.params, (len(resampled), point.params.size))
-            fits = mle_reconstruct_batch(settings, resampled[..., :outcomes], start=start)
+            fits = mle_reconstruct_batch(settings, resampled, start=start)
             failed.extend(not fit.converged for fit in fits)
             return quantum_fidelity(target, np.array([fit.rho for fit in fits]))
 
         error = 0.0
-        if mc_trials >= 2 and rng is not None:
-            error = monte_carlo_error(recs, resampled_fidelities, mc_trials, rng)
+        if mc_trials >= 2 and rngs is not None:
+            error = monte_carlo_error(counts[k], resampled_fidelities, mc_trials, rngs[k])
         entries.append(SuiteEntry(label, float(fidelity), float(error), point.rho, target, sum(failed)))
     return entries
 
@@ -342,7 +331,7 @@ def bell_targets():
 def bell_state_suite(noise=None, rng=None, mc_trials=25):
     """Prepare the four Bell states, tomograph each and report fidelities.
 
-    Error bars come from Poisson resampling of the count records followed by
+    Error bars come from Poisson resampling of the counts followed by
     re-reconstruction (mc_trials below 2, or an exact run with rng=None,
     disables them; a negative count is a ValueError).
     """
@@ -350,11 +339,11 @@ def bell_state_suite(noise=None, rng=None, mc_trials=25):
     noise = noise if noise is not None else NoiseModel.noiseless()
     targets = bell_targets()
     names = list(BELL_PREPS)
-    children = _spawn(rng, len(names))
+    children = None if rng is None else rng.spawn(len(names))
     preps = [PhaseConfig(list(BELL_PREPS[name]) + [0.0] * 4) for name in names]
-    settings, records = tomography_records(preps, noise, None if rng is None else children, qubits=2)
+    settings, counts = tomography_records(preps, noise, children, qubits=2)
 
-    entries = _tomographs(names, settings, records, [targets[name] for name in names], mc_trials, children)
+    entries = _tomographs(names, settings, counts, [targets[name] for name in names], mc_trials, children)
     return SuiteReport("bell-suite", entries)
 
 
@@ -409,9 +398,9 @@ def _chsh_points(alphas, betas, noise, rngs, mc_trials):
     configs = _chsh_phases(alphas, betas)
     children = None if rngs is None else [c for g in rngs for c in g.spawn(4)]
     probs = device_probs(configs, noise, children).as_array()
-    if rngs is not None:
-        probs = _outcome_counts(probs, noise, children)
-    counts = probs.reshape(len(alphas), 4, 4)
+    # exact: expected_counts' accidentals without its mean_pairs scale, which S does not depend on
+    counts = probs + noise.accidental_fraction / 4 if rngs is None else _outcome_counts(probs, noise, children)
+    counts = counts.reshape(len(alphas), 4, 4)
     s = _chsh_of_counts(counts)
     if mc_trials < 2 or rngs is None:
         return s, np.zeros_like(s)
@@ -423,8 +412,9 @@ def chsh_sum(alpha, beta, noise=None, rng=None, mc_trials=0):
     """Bell-CHSH sum S(alpha, beta) from the four correlator settings.
 
     Alice's dials are phi6 = +-pi/4; Bob's are phi8 = beta and beta + pi/2.
-    Exact mode (rng=None) evaluates probabilities; otherwise counts are
-    Poisson-sampled.  Returns S, or (S, std) when mc_trials >= 2.
+    Exact mode (rng=None) evaluates probabilities, accidentals included;
+    otherwise counts are Poisson-sampled.  Returns S, or (S, std) when
+    mc_trials >= 2.
     """
     _check_mc_trials(mc_trials)
     noise = noise if noise is not None else NoiseModel.noiseless()
@@ -597,12 +587,12 @@ def mixed_state_suite(targets=None, n=119, noise=None, rng=None, mc_trials=0):
     targets = [np.asarray(t, dtype=float) for t in targets]
     if not targets:
         raise ValueError("at least one target is required, got none")
-    children = _spawn(rng, len(targets))
+    children = None if rng is None else rng.spawn(len(targets))
     preps = [prep_config(solve_mixed_prep(r)) for r in targets]
-    settings, records = tomography_records(preps, noise, None if rng is None else children, qubits=1)
+    settings, counts = tomography_records(preps, noise, children, qubits=1)
 
     labels = [f"target-{i}" for i in range(len(targets))]
-    entries = _tomographs(labels, settings, records, [rho_of_bloch(r) for r in targets], mc_trials, children)
+    entries = _tomographs(labels, settings, counts, [rho_of_bloch(r) for r in targets], mc_trials, children)
     return SuiteReport("mixed-suite", entries)
 
 

@@ -461,20 +461,17 @@ def rho_of_bloch(r):
 
 
 def monte_carlo_error(counts, estimator, trials, rng):
-    """Poisson-resampled standard deviation of an estimator of count records.
+    """Poisson-resampled standard deviation of an estimator of counts.
 
-    ``counts`` may be a single CountRecord or a sequence of them.  Every
-    trial is drawn by one ``rng.poisson`` call, trial by trial and record by
-    record, and the estimator receives them all at once: a (trials, 4) array
-    of resampled ``CountRecord.counts()`` for a single record, (trials,
-    records, 4) for a sequence.  It returns the trials' values.
+    ``counts`` is an array of counts, e.g. (settings, outcomes) for one
+    tomograph.  Every trial is drawn by one ``rng.poisson`` call, trial by
+    trial and count by count in C order (a zero count draws nothing), and
+    the estimator receives them all at once as a (trials,) + counts.shape
+    array.  It returns the trials' values.
     """
     if trials < 2:
         raise ValueError("trials must be at least 2")
-    if isinstance(counts, (list, tuple)):
-        lam = np.array([r.counts() for r in counts])
-    else:
-        lam = counts.counts()
+    lam = np.asarray(counts, dtype=np.float64)
     resampled = rng.poisson(np.broadcast_to(lam, (trials,) + lam.shape)).astype(np.float64)
     return float(np.std(np.asarray(estimator(resampled), dtype=np.float64), ddof=1))
 

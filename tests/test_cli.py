@@ -473,6 +473,32 @@ class TestTomoCommand:
         assert code == 1
         assert "missing settings" in capsys.readouterr().err
 
+    @staticmethod
+    def _bell_counts(path, extra_rows):
+        bell = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex) / 2
+        write_count_records(path, simulate_counts(canonical_settings(2), bell, 1e3))
+        with open(path, "a") as fh:
+            fh.write(extra_rows)
+
+    def test_duplicate_setting(self, tmp_path, capsys):
+        # a second ZZ row would otherwise replace the first
+        path = tmp_path / "counts.csv"
+        self._bell_counts(path, "ZZ,1,2,3,4\n")
+        assert main(["tomo", str(path)]) == 1
+        _one_error_line(capsys, f"{path}: duplicate settings ['ZZ']")
+
+    def test_unknown_setting(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        self._bell_counts(path, "ZZZ,1,2,3,4\nQ,5,6,7,8\n")
+        assert main(["tomo", str(path)]) == 1
+        _one_error_line(capsys, f"{path}: unknown 2-qubit settings ['ZZZ', 'Q']")
+
+    def test_two_qubit_outcomes_in_one_qubit_file(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("setting,n00,n01,n10,n11\nZ,10,20,7,9\nX,15,15,0,0\nY,15,15,0,0\n")
+        assert main(["tomo", str(path)]) == 1
+        _one_error_line(capsys, f"{path}: n10/n11 counts in one-qubit settings ['Z']")
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):

@@ -211,6 +211,14 @@ class TestChsh:
         assert abs(s) > 2.0
         assert std > 0.0
 
+    @pytest.mark.parametrize("alpha, beta", [(4.608, 1.676), (np.pi / 2, np.pi / 2), (0.3, 2.2)])
+    @pytest.mark.parametrize("v", [1.0, 0.978, 0.5])
+    @pytest.mark.parametrize("a", [0.02, 0.5, 3.0])
+    def test_exact_s_counts_accidentals(self, alpha, beta, v, a):
+        # accidentals add a / 4 of the pairs to every outcome, which scales each correlator by 1 / (1 + a)
+        bare = chsh_sum(alpha, beta, NoiseModel(0.0, v))
+        assert abs(chsh_sum(alpha, beta, NoiseModel(0.0, v, accidental_fraction=a)) - bare / (1 + a)) <= 1e-12
+
     def test_violating_region_nonempty(self):
         grid = chsh_manifold()
         assert np.any(np.abs(grid.s) > 2.0)
@@ -459,11 +467,11 @@ class TestBatchedDrivers:
             return np.random.default_rng(21).spawn(len(preps)) if seeded else None
 
         settings, batched = tomography_records(preps, NOISE_REF, rngs(), qubits)
-        assert len(batched) == len(preps)
-        for prep, rng, records in zip(preps, rngs() or [None] * len(preps), batched):
+        assert batched.shape == (len(preps), len(settings), 2 ** qubits)
+        for prep, rng, counts in zip(preps, rngs() or [None] * len(preps), batched):
             single_settings, single = tomography_records(prep, NOISE_REF, rng, qubits)
             assert single_settings == settings
-            assert records == single
+            assert np.array_equal(counts, [r.counts(2 ** qubits) for r in single])
 
 
 class TestDeviceProbsProperties:

@@ -3,11 +3,12 @@
 The files under data/golden/ are the full --output reports of small seeded
 device-model runs: the benchmark and sampled-manifold files were recorded
 before the device model was batched, the exact-manifold CSV, HOM-dip and
-verify-chip files before every report went through one writer.  A change
-that moves any byte of them changes seeded results and must say so.  The
-last digits depend on the platform's floating-point kernels (numpy's SIMD
-loops and BLAS), so a mismatch on a different machine is not by itself a
-defect.
+verify-chip files before every report went through one writer, the Bell
+and mixed-state suite files before their counts stopped passing through
+CountRecords.  A change that moves any byte of them changes seeded results
+and must say so.  The last digits depend on the platform's floating-point
+kernels (numpy's SIMD loops and BLAS), so a mismatch on a different machine
+is not by itself a defect.
 """
 
 from pathlib import Path
@@ -27,6 +28,9 @@ CASES = {
     "chsh_manifold_exact_step5.csv": ["chsh-manifold", "--exact", "--step", STEP, "--format", "csv"],
     "hom_dip_seed5.json": ["hom-dip", "--seed", "5"],
     "verify_chip.json": ["verify-chip"],
+    "bell_suite_seed2_pairs1000_mc4.json": ["bell-suite", "--seed", "2", "--pairs", "1000", "--mc-trials", "4"],
+    "mixed_suite_glyph_seed4_mc3.json": ["mixed-suite", "--glyph", "--seed", "4", "--mc-trials", "3"],
+    "mixed_suite_glyph_exact.json": ["mixed-suite", "--glyph", "--exact"],
 }
 
 

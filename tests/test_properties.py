@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rechip import experiments
 from rechip.chip import BASIS_LABELS, PhaseConfig, phase_batch, wrap_phases
@@ -135,6 +135,20 @@ def test_chsh_resample_std_matches_one_std_per_point(seed, points, mc_trials, me
     assert np.array_equal(s, experiments._chsh_of_counts(counts))
     assert np.array_equal(std, expected)
     assert _same_states(rngs, twins)
+
+
+@pytest.mark.xfail(strict=True, reason="each setting draws its own errors for all eight phases, so the four "
+                                        "correlators come from different states and observables")
+@given(seed=SEED, alpha=st.floats(0.0, experiments.TWO_PI), beta=st.floats(0.0, experiments.TWO_PI),
+       sigma=st.floats(0.0, 0.5), v=st.floats(0.0, 1.0), accidental=st.floats(0.0, 10.0))
+@example(seed=29, alpha=4.608, beta=1.676, sigma=0.05, v=0.978, accidental=0.0)  # S = 2.8899
+def test_noisy_exact_count_s_obeys_tsirelson(seed, alpha, beta, sigma, v, accidental):
+    """S from the expected counts of jittered device rows is at most 2 sqrt(2) for any noise and grid point."""
+    noise = NoiseModel(phase_sigma=sigma, indistinguishability=v, accidental_fraction=accidental)
+    children = np.random.default_rng(seed).spawn(4)  # one per setting, as _chsh_points spawns them
+    probs = experiments.device_probs(experiments._chsh_phases([alpha], [beta]), noise, children).as_array()
+    s = experiments._chsh_of_counts(expected_counts(probs, noise).reshape(1, 4, 4))[0]
+    assert abs(s) <= 2 * np.sqrt(2) + 1e-12
 
 
 @given(n=st.integers(1, 32), seed=SEED, sigma=st.floats(0.0, 0.5), v=st.floats(0.0, 1.0),

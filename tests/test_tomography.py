@@ -384,20 +384,20 @@ class TestMonteCarloError:
     REC = CountRecord("Z", 1000, 2000, 3000, 4000)
 
     def test_constant_estimator(self, rng):
-        assert monte_carlo_error(self.REC, lambda r: np.full(len(r), 42.0), 50, rng) == 0.0
+        assert monte_carlo_error(self.REC.counts(), lambda r: np.full(len(r), 42.0), 50, rng) == 0.0
 
     def test_deterministic_under_seed(self):
         est = _n00_fraction
-        a = monte_carlo_error(self.REC, est, 100, np.random.default_rng(3))
-        b = monte_carlo_error(self.REC, est, 100, np.random.default_rng(3))
+        a = monte_carlo_error(self.REC.counts(), est, 100, np.random.default_rng(3))
+        b = monte_carlo_error(self.REC.counts(), est, 100, np.random.default_rng(3))
         assert a == b
 
     def test_resamples_drawn_as_one_trial_after_another(self):
         # one poisson call over (trials, records, 4) draws what a loop over trials, then records, draws
         records = [self.REC, CountRecord("X", 10, 0, 7, 1)]
         seen = []
-        monte_carlo_error(records, lambda r: seen.append(r) or np.arange(len(r), dtype=float), 6,
-                          np.random.default_rng(9))
+        monte_carlo_error(np.array([r.counts() for r in records]),
+                          lambda r: seen.append(r) or np.arange(len(r), dtype=float), 6, np.random.default_rng(9))
         rng = np.random.default_rng(9)
         looped = [[rng.poisson(r.counts()) for r in records] for _ in range(6)]
         assert seen[0].shape == (6, 2, 4)
@@ -407,19 +407,20 @@ class TestMonteCarloError:
         est = _n00_fraction
         small = CountRecord("s", 1000, 1000, 1000, 1000)
         large = CountRecord("l", 100000, 100000, 100000, 100000)
-        e_small = monte_carlo_error(small, est, 4000, np.random.default_rng(11))
-        e_large = monte_carlo_error(large, est, 4000, np.random.default_rng(12))
+        e_small = monte_carlo_error(small.counts(), est, 4000, np.random.default_rng(11))
+        e_large = monte_carlo_error(large.counts(), est, 4000, np.random.default_rng(12))
         assert e_small / e_large == pytest.approx(10.0, rel=0.10)
 
     def test_trials_validated(self, rng):
         with pytest.raises(ValueError):
-            monte_carlo_error(self.REC, lambda r: np.zeros(len(r)), 1, rng)
+            monte_carlo_error(self.REC.counts(), lambda r: np.zeros(len(r)), 1, rng)
 
     def test_warm_started_resamples_match_cold(self):
         settings = canonical_settings(2)
         records = [CountRecord(r.setting, *(int(c) for c in r.counts()))
                    for r in simulate_counts(settings, 0.9 * BELL + 0.025 * np.eye(4), 2000)]
         point = mle_reconstruct(settings, records)
+        counts = np.array([r.counts() for r in records])
 
         def fidelity(start):
             # every resample in one batch, each from the same start
@@ -428,8 +429,8 @@ class TestMonteCarloError:
                 return [quantum_fidelity(BELL, fit.rho) for fit in mle_reconstruct_batch(settings, resampled, starts)]
             return fidelities
 
-        cold = monte_carlo_error(records, fidelity(None), 8, np.random.default_rng(7))
-        warm = monte_carlo_error(records, fidelity(point.params), 8, np.random.default_rng(7))
+        cold = monte_carlo_error(counts, fidelity(None), 8, np.random.default_rng(7))
+        warm = monte_carlo_error(counts, fidelity(point.params), 8, np.random.default_rng(7))
         assert cold > 0
         assert abs(warm - cold) <= 1e-6
 
