@@ -2,8 +2,9 @@
 
 Each driver accepts a NoiseModel and a ``numpy.random.Generator`` (or runs
 exactly, probability-level, when the generator is omitted).  Sweeps spawn
-one child generator per task, so results are bit-identical however the
-sweep is split into chunks.
+one child generator per task (``noise.spawn``, the children
+``Generator.spawn`` gives, hashed for all parents at once), so results are
+bit-identical however the sweep is split into chunks.
 
 The device model runs once per batch: a driver draws each configuration's
 random numbers from its own child generator, in the order configuration,
@@ -34,6 +35,7 @@ from .noise import (
     hom_dip_curve,
     hom_visibility,
     mix_statistics,
+    spawn,
 )
 from .tomography import (
     canonical_settings,
@@ -191,7 +193,7 @@ def random_config_benchmark(n=995, noise=None, rng=None, exact=False, jobs=1):
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     noise = noise if noise is not None else NoiseModel.noiseless()
-    children = None if rng is None else rng.spawn(n)
+    children = None if rng is None else spawn([rng], n)
 
     def chunk(lo, hi):
         if children is None:
@@ -264,7 +266,7 @@ def tomography_records(prep, noise, rng, qubits=2):
         settings, counts = tomography_records([prep], noise, None if rng is None else [rng], qubits)
         return settings, [CountRecord.from_counts(s.label, c) for s, c in zip(settings, counts[0])]
     settings = canonical_settings(qubits)
-    children = None if rng is None else [c for g in rng for c in g.spawn(len(settings))]
+    children = None if rng is None else spawn(rng, len(settings))
     # preparation phases phi1..phi4 on each row, each setting's analysis angles after them
     phis = np.zeros((len(prep), len(settings), 8))
     phis[..., :4] = np.array([p.phis[:4] for p in prep])[:, None]
@@ -339,7 +341,7 @@ def bell_state_suite(noise=None, rng=None, mc_trials=25):
     noise = noise if noise is not None else NoiseModel.noiseless()
     targets = bell_targets()
     names = list(BELL_PREPS)
-    children = None if rng is None else rng.spawn(len(names))
+    children = None if rng is None else spawn([rng], len(names))
     preps = [PhaseConfig(list(BELL_PREPS[name]) + [0.0] * 4) for name in names]
     settings, counts = tomography_records(preps, noise, children, qubits=2)
 
@@ -396,7 +398,7 @@ def _chsh_points(alphas, betas, noise, rngs, mc_trials):
     draw from children spawned off it, its resamples from the generator itself.
     """
     configs = _chsh_phases(alphas, betas)
-    children = None if rngs is None else [c for g in rngs for c in g.spawn(4)]
+    children = None if rngs is None else spawn(rngs, 4)
     probs = device_probs(configs, noise, children).as_array()
     # exact: expected_counts' accidentals without its mean_pairs scale, which S does not depend on
     counts = probs + noise.accidental_fraction / 4 if rngs is None else _outcome_counts(probs, noise, children)
@@ -458,7 +460,7 @@ def chsh_manifold(step=DEFAULT_MANIFOLD_STEP, noise=None, rng=None, mc_trials=0,
     noise = noise if noise is not None else NoiseModel.noiseless()
     axis = np.arange(npts) * step
     rows, cols = np.divmod(np.arange(npts * npts), npts)
-    children = None if rng is None else rng.spawn(npts * npts)
+    children = None if rng is None else spawn([rng], npts * npts)
 
     def chunk(lo, hi):
         rngs = None if children is None else children[lo:hi]
@@ -587,7 +589,7 @@ def mixed_state_suite(targets=None, n=119, noise=None, rng=None, mc_trials=0):
     targets = [np.asarray(t, dtype=float) for t in targets]
     if not targets:
         raise ValueError("at least one target is required, got none")
-    children = None if rng is None else rng.spawn(len(targets))
+    children = None if rng is None else spawn([rng], len(targets))
     preps = [prep_config(solve_mixed_prep(r)) for r in targets]
     settings, counts = tomography_records(preps, noise, children, qubits=1)
 

@@ -26,6 +26,7 @@ maximum-likelihood reconstruction for quantum tomography", PRA 95, 062336
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -208,14 +209,18 @@ def check_density(rho):
     A matrix with a NaN or infinite entry fails the Hermiticity test (its defect is NaN).
     """
     rho = np.asarray(rho, dtype=complex)
-    adj = rho.conj().T
-    defect = abs(rho - adj).max()
+    defect = abs(rho - rho.conj().T).max()
     if not defect <= 1e-10:
         raise ValueError(f"density matrix not Hermitian (defect {defect:.2e})")
     tr = rho.trace().real
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"density matrix trace {tr} != 1")
-    wmin = np.linalg.eigvalsh((rho + adj) / 2)[0]  # eigenvalues come in ascending order
+    # rho is Hermitian to 1e-10 here, so its lower triangle stands for it, as eigvalsh reads it
+    if rho.shape == (2, 2):  # the smaller root of the characteristic polynomial
+        (a, _), (b, d) = rho.tolist()
+        wmin = (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b))
+    else:
+        wmin = np.linalg.eigvalsh(rho)[0]  # ascending
     if wmin < -1e-9:
         raise ValueError(f"density matrix has eigenvalue {wmin:.2e} < -1e-09")
     return rho

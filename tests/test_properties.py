@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from rechip import experiments
 from rechip.chip import BASIS_LABELS, PhaseConfig, phase_batch, wrap_phases
-from rechip.noise import CountRecord, NoiseModel, apply_phase_noise, expected_counts
+from rechip.noise import CountRecord, NoiseModel, apply_phase_noise, expected_counts, spawn
 from rechip.tomography import canonical_settings, check_density, mle_reconstruct, mle_reconstruct_batch
 
 # a count is zero, small or large; a setting may also be left out entirely (all its counts zero)
@@ -163,6 +163,65 @@ def test_device_rows_are_distributions_with_accidentals(n, seed, sigma, v, accid
     lam = expected_counts(p, noise)
     assert np.all(lam >= accidental / 4)
     assert np.max(np.abs(lam.sum(axis=-1) - (1.0 + accidental))) <= 1e-12 * (1.0 + accidental)
+
+
+# noise.spawn derives every child generator of a sweep; Generator.spawn, one parent at a time, is its reference.
+
+# entropy at both ends of one and two words, of more words than the pool holds, a [seed, k] list, fresh entropy
+ENTROPY = st.one_of(st.sampled_from([0, 2**64 - 1]), SEED, st.integers(2**128, 2**200),
+                    st.tuples(SEED, st.integers(0, 1000)).map(list), st.none())
+
+
+def _twin_roots(entropy, make=np.random.PCG64):
+    entropy = np.random.SeedSequence().entropy if entropy is None else entropy
+    return [np.random.Generator(make(np.random.SeedSequence(entropy))) for _ in range(2)]
+
+
+def _same_children(ours, theirs):
+    assert len(ours) == len(theirs)
+    assert _same_states(ours, theirs)
+    assert all(type(g) is type(t) and type(g.bit_generator) is type(t.bit_generator) for g, t in zip(ours, theirs))
+    pairs = [(g.bit_generator.seed_seq, t.bit_generator.seed_seq) for g, t in zip(ours, theirs)]
+    assert all(a.spawn_key == b.spawn_key and np.array_equal(a.pool, b.pool) for a, b in pairs)
+
+
+@given(entropy=ENTROPY, keyed=st.booleans(), n=st.integers(1, 40), depth=st.integers(1, 3))
+def test_spawn_is_generator_spawn(entropy, keyed, n, depth):
+    """Children to depth 3 equal Generator.spawn's, and a second spawn from the same parents does too."""
+    ours, theirs = ([g] for g in _twin_roots(entropy))
+    if keyed:  # parents that are themselves spawned
+        ours, theirs = ours[0].spawn(3), theirs[0].spawn(3)
+    for _ in range(depth):
+        ours, theirs = ours[:1] + ours[-1:], theirs[:1] + theirs[-1:]  # at most two parents per level
+        first = spawn(ours, n)
+        reference = [c for g in theirs for c in g.spawn(n)]
+        _same_children(first, reference)
+        _same_children(spawn(ours, n), [c for g in theirs for c in g.spawn(n)])
+        assert _same_states(ours, theirs)
+        ours, theirs = first, reference
+
+
+@given(entropy=ENTROPY, n=st.integers(1, 8))
+def test_spawn_keeps_the_bit_generator_type(entropy, n):
+    ours, theirs = _twin_roots(entropy, np.random.MT19937)
+    children, reference = spawn([ours], n), theirs.spawn(n)
+    assert all(type(c.bit_generator) is np.random.MT19937 for c in children)
+    assert [repr(c.bit_generator.state) for c in children] == [repr(c.bit_generator.state) for c in reference]
+    assert [c.random() for c in spawn(children, 2)] == [c.random() for g in reference for c in g.spawn(2)]
+
+
+@given(seed=SEED, n=st.integers(1, 8))
+def test_spawn_falls_back_to_numpy_for_other_pools(seed, n):
+    """A pool of 8 words goes through SeedSequence.spawn, in its place among the parents; so does a repeated parent."""
+    def parents():
+        big = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, pool_size=8)))
+        return [big, np.random.default_rng(seed)]
+
+    ours, theirs = parents(), parents()
+    children = spawn(ours, n)
+    _same_children(children, [c for g in theirs for c in g.spawn(n)])
+    assert all(type(c.bit_generator.seed_seq) is np.random.SeedSequence for c in children[:n])
+    _same_children(spawn(ours[1:] * 2, n), [c for g in theirs[1:] * 2 for c in g.spawn(n)])
 
 
 JOBS = st.integers(1, 6)

@@ -68,8 +68,8 @@ class TestProjectors:
 class TestCheckDensity:
     ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
 
-    def rotated(self, eigenvalues):
-        return self.ROTATION @ np.diag(eigenvalues).astype(complex) @ self.ROTATION.T
+    def rotated(self, eigenvalues, rotation=ROTATION):
+        return rotation @ np.diag(eigenvalues).astype(complex) @ rotation.conj().T
 
     def test_accepts_a_state_and_returns_it(self):
         rho = self.rotated([0.7, 0.3])
@@ -100,6 +100,21 @@ class TestCheckDensity:
     def test_accepts_eigenvalue_within_tolerance(self):
         rho = self.rotated([1.0 + 5e-10, -5e-10])
         assert np.array_equal(check_density(rho), rho)
+
+    def test_two_qubit_eigenvalue_bound(self):
+        rotation = np.kron(self.ROTATION, self.ROTATION)
+        with pytest.raises(ValueError, match=r"eigenvalue -2\.00e-09 < -1e-09"):
+            check_density(self.rotated([0.5 + 2e-9, 0.5, 0.0, -2e-9], rotation))
+        rho = self.rotated([0.5 + 5e-10, 0.5, 0.0, -5e-10], rotation)
+        assert np.array_equal(check_density(rho), rho)
+
+    def test_one_qubit_eigenvalue_bound_in_any_basis(self, rng):
+        for _ in range(100):
+            _, basis = np.linalg.eigh(sample_hs_random(2, rng))
+            with pytest.raises(ValueError, match=r"eigenvalue -2\.00e-09 < -1e-09"):
+                check_density(self.rotated([1.0 + 2e-9, -2e-9], basis))
+            rho = self.rotated([1.0 + 5e-10, -5e-10], basis)
+            assert np.array_equal(check_density(rho), rho)
 
 
 class TestCanonicalSettings:
