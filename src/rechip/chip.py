@@ -90,9 +90,6 @@ class PhaseConfig:
     def zeros(cls):
         return cls((0.0,) * 8)
 
-    def as_array(self):
-        return np.asarray(self.phis)
-
 
 def phase_batch(config):
     """(N, 8) array of wrapped phases; a PhaseConfig is the batch of one."""
@@ -254,14 +251,9 @@ def cnot_success_probs(netlist=None):
 
 
 def _basis_index(state):
-    if isinstance(state, str):
-        if state not in BASIS_LABELS:
-            raise ValueError(f"unknown basis state {state!r}")
-        return BASIS_LABELS.index(state)
-    idx = int(state)
-    if not 0 <= idx < 4:
-        raise ValueError(f"basis index must be 0..3, got {state}")
-    return idx
+    if state not in BASIS_LABELS:
+        raise ValueError(f"unknown basis state {state!r}")
+    return BASIS_LABELS.index(state)
 
 
 def _postselected(config, mass):

@@ -2,14 +2,14 @@
 
 One subcommand per experiment plus a device self-check, each taking only
 the options it reads.  Every sampling command requires --seed; identical
-command lines (including the seed) produce byte-identical outputs whatever
---jobs is.  Each handler returns its report and one writer emits it: the
-report's scalar fields as JSON on stdout, and with --output the full report
-(JSON, or CSV rows under --format csv).
+command lines (including the seed) produce byte-identical outputs.  Each
+handler returns its report and one writer emits it: the report's scalar
+fields as JSON on stdout, and with --output the full report (JSON, or CSV
+rows under --format csv).
 
 Exit codes: 0 success, 1 missing/invalid input file, 2 validation failure
-(bad arguments or a failed device check).  A rejected argument value gets a
-one-line diagnostic on stderr.
+(bad arguments, a noise flag that contradicts --exact, or a failed device
+check).  A rejected argument value gets a one-line diagnostic on stderr.
 """
 
 import argparse
@@ -23,27 +23,30 @@ import numpy as np
 
 from . import __version__, calibration, experiments, noise, tomography
 from .chip import PhaseConfig, cnot_success_probs, default_netlist, verify_cnot
+from .experiments import SCHEMA
 from .optics import netlist_from_json, netlist_to_json
 
-SCHEMA = 1
+# NoiseModel's first three fields by flag: (value in the ideal device of --exact, sampled default)
+_NOISE_FLAGS = {
+    "phase_sigma": (0.0, noise.DEFAULT_PHASE_SIGMA),
+    "visibility": (1.0, noise.DEFAULT_INDISTINGUISHABILITY),
+    "accidental": (0.0, 0.0),
+}
 
 
 def _noise_from_args(args):
     if not args.pairs > 0:
         raise ValueError(f"--pairs must be positive, got {args.pairs}")
-    if args.exact:
-        # probability-level run of the ideal device
-        return noise.NoiseModel(
-            phase_sigma=0.0, indistinguishability=1.0,
-            accidental_fraction=0.0, mean_pairs=args.pairs,
-        )
-    # hom-dip takes no --phase-sigma or --accidental: the dip reads neither
-    return noise.NoiseModel(
-        phase_sigma=getattr(args, "phase_sigma", 0.0),
-        indistinguishability=args.visibility,
-        accidental_fraction=getattr(args, "accidental", 0.0),
-        mean_pairs=args.pairs,
-    )
+    values, conflicts = [], []
+    for name, (ideal, default) in _NOISE_FLAGS.items():
+        # None when not given; hom-dip takes no --phase-sigma or --accidental: the dip reads neither
+        value = getattr(args, name, ideal)
+        if args.exact and value not in (None, ideal):
+            conflicts.append(f"--{name.replace('_', '-')} {value}")
+        values.append(ideal if args.exact else default if value is None else value)
+    if conflicts:
+        raise ValueError(f"--exact runs the ideal device; drop {' '.join(conflicts)}")
+    return noise.NoiseModel(*values, mean_pairs=args.pairs)
 
 
 def _mc_trials_from_args(args):
@@ -55,12 +58,6 @@ def _mc_trials_from_args(args):
     if trials and args.exact:
         raise ValueError(f"--exact runs have no counts to resample; drop --mc-trials {trials} or --exact")
     return trials
-
-
-def _jobs_from_args(args):
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    return args.jobs
 
 
 def _rng_from_args(args):
@@ -114,13 +111,9 @@ def _emit(args, doc, table):
     print(summary_text)
 
 
-JOBS_CHUNKS = "chunks the sweep runs in, one after another: no threads, never changes results"
-JOBS_NO_EFFECT = "accepted like the sweeps' --jobs but changes nothing here: no threads, same results"
-
-
-def _add_options(sub, csv=False, sampling=False, jobs_help=None, device_noise=True):
+def _add_options(sub, csv=False, sampling=False, jobs=False, device_noise=True):
     """--output and --config; --format for a CSV report; for a sampled run --seed, --exact,
-    the noise flags (jitter and accidentals only with device_noise) and --jobs with jobs_help."""
+    the noise flags (jitter and accidentals only with device_noise) and, with jobs, --jobs."""
     sub.add_argument("--output", default=None, help="write the full report to this path")
     sub.add_argument("--config", default=None, help="JSON file of default option values")
     if csv:
@@ -128,14 +121,15 @@ def _add_options(sub, csv=False, sampling=False, jobs_help=None, device_noise=Tr
     if not sampling:
         return
     sub.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    if jobs_help:
-        sub.add_argument("--jobs", type=int, default=1, help=jobs_help)
+    if jobs:
+        sub.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility (at least 1); changes nothing: runs are sequential")
     sub.add_argument("--exact", action="store_true",
                      help="probability-level run of the ideal device: no sampling, no noise model")
     if device_noise:
-        sub.add_argument("--phase-sigma", type=float, default=noise.DEFAULT_PHASE_SIGMA)
-        sub.add_argument("--accidental", type=float, default=0.0)
-    sub.add_argument("--visibility", type=float, default=noise.DEFAULT_INDISTINGUISHABILITY)
+        sub.add_argument("--phase-sigma", type=float, default=None)
+        sub.add_argument("--accidental", type=float, default=None)
+    sub.add_argument("--visibility", type=float, default=None)
     sub.add_argument("--pairs", type=float, default=noise.DEFAULT_MEAN_PAIRS)
 
 
@@ -157,23 +151,23 @@ def build_parser():
     p.add_argument("--threshold", type=float, default=1e-9, help="largest passing defect (positive)")
 
     p = subs.add_parser("benchmark-random", help="random-configuration fidelity benchmark")
-    _add_options(p, csv=True, sampling=True, jobs_help=JOBS_CHUNKS)
+    _add_options(p, csv=True, sampling=True, jobs=True)
     p.add_argument("--n", type=int, default=995)
 
     p = subs.add_parser("bell-suite", help="prepare and tomograph the four Bell states")
-    _add_options(p, sampling=True, jobs_help=JOBS_NO_EFFECT)
+    _add_options(p, sampling=True, jobs=True)
     p.add_argument("--mc-trials", type=int, default=None,
                    help="resamples per error bar (default 25; none with --exact)")
 
     p = subs.add_parser("chsh-manifold", help="Bell-CHSH sum over the (alpha, beta) grid")
-    _add_options(p, csv=True, sampling=True, jobs_help=JOBS_CHUNKS)
+    _add_options(p, csv=True, sampling=True, jobs=True)
     p.add_argument("--step", type=float, default=experiments.DEFAULT_MANIFOLD_STEP,
                    help=f"grid spacing in rad; at least 2*pi/{experiments.MAX_MANIFOLD_SIDE - 1} "
                         f"({experiments.MAX_MANIFOLD_SIDE} points per axis)")
     p.add_argument("--mc-trials", type=int, default=0)
 
     p = subs.add_parser("mixed-suite", help="generate and tomograph mixed qubit-A states")
-    _add_options(p, sampling=True, jobs_help=JOBS_NO_EFFECT)
+    _add_options(p, sampling=True, jobs=True)
     p.add_argument("--n", type=int, default=119)
     p.add_argument("--targets", default=None, help="Bloch-target CSV (header rx,ry,rz)")
     p.add_argument("--glyph", action="store_true", help="use the bundled psi-glyph targets")
@@ -264,14 +258,13 @@ def cmd_verify_chip(args):
 def cmd_benchmark_random(args):
     rng = _rng_from_args(args)
     report = experiments.random_config_benchmark(
-        n=args.n, noise=_noise_from_args(args), rng=rng, exact=args.exact, jobs=_jobs_from_args(args)
+        n=args.n, noise=_noise_from_args(args), rng=rng, exact=args.exact
     )
     return report.to_dict(), (["index", "fidelity"], enumerate(report.fidelities.tolist()))
 
 
 def cmd_bell_suite(args):
     rng = _rng_from_args(args)
-    _jobs_from_args(args)  # validated only: the suite runs its fits in order
     report = experiments.bell_state_suite(
         noise=_noise_from_args(args), rng=rng, mc_trials=_mc_trials_from_args(args)
     )
@@ -282,7 +275,7 @@ def cmd_chsh_manifold(args):
     rng = _rng_from_args(args)
     grid = experiments.chsh_manifold(
         step=args.step, noise=_noise_from_args(args), rng=rng,
-        mc_trials=_mc_trials_from_args(args), jobs=_jobs_from_args(args),
+        mc_trials=_mc_trials_from_args(args),
     )
     alphas, betas = np.meshgrid(grid.alphas, grid.betas, indexing="ij")
     rows = np.column_stack([alphas.ravel(), betas.ravel(), grid.s.ravel(), grid.std.ravel()]).tolist()
@@ -291,7 +284,6 @@ def cmd_chsh_manifold(args):
 
 def cmd_mixed_suite(args):
     rng = _rng_from_args(args)
-    _jobs_from_args(args)  # validated only: the suite runs its fits in order
     targets = None
     if args.glyph:
         targets = experiments.load_psi_glyph()
@@ -371,6 +363,8 @@ def main(argv=None):
     _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         doc, table = _HANDLERS[args.command](args)
         _emit(args, doc, table)
     except InputFileError as exc:

@@ -9,8 +9,7 @@ bit-identical however the sweep is split into chunks.
 The device model runs once per batch: a driver draws each configuration's
 random numbers from its own child generator, in the order configuration,
 phase jitter, counts, and evaluates its configurations as one array program
-in between, chunk by contiguous chunk in order (``jobs`` chunks, more for
-large sweeps).
+in between, chunk by contiguous chunk in order (at most 256 items each).
 """
 
 from dataclasses import dataclass, field
@@ -53,19 +52,18 @@ from .tomography import (
 TWO_PI = 2.0 * np.pi
 DEFAULT_MANIFOLD_STEP = TWO_PI / 15.0
 MAX_MANIFOLD_SIDE = 1001  # grid points per axis: a step of at least 2*pi/1000
-
+SCHEMA = 1  # version of every report document
+NOISELESS = NoiseModel.noiseless()
 
 _MAX_CHUNK = 256  # items per batch: bounds the device model's memory on large sweeps
 
 
-def _run_chunked(fn, n, jobs):
+def _run_chunked(fn, n):
     """fn(lo, hi) over contiguous chunks of range(n), in order, joined along the last axis.
 
-    There are `jobs` chunks (at most n), or more where a chunk would exceed _MAX_CHUNK items.
+    There are as few near-equal chunks as keep each within _MAX_CHUNK items.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    chunks = max(min(jobs, n), -(-n // _MAX_CHUNK))
+    chunks = -(-n // _MAX_CHUNK)
     bounds = [n * k // chunks for k in range(chunks + 1)]
     return np.concatenate([fn(bounds[k], bounds[k + 1]) for k in range(chunks)], axis=-1)
 
@@ -166,7 +164,7 @@ class BenchmarkReport(_FidelityStats):
 
     def to_dict(self):
         return {
-            "schema": 1,
+            "schema": SCHEMA,
             "experiment": "benchmark-random",
             "n": int(self.fidelities.size),
             "mean": self.mean,
@@ -181,18 +179,16 @@ def _random_configs(rngs):
     return np.array([g.random(8) for g in rngs]) * TWO_PI
 
 
-def random_config_benchmark(n=995, noise=None, rng=None, exact=False, jobs=1):
+def random_config_benchmark(n=995, noise=NOISELESS, rng=None, exact=False):
     """Statistical fidelity between simulated and ideal coincidence statistics
     over n configurations drawn uniformly from [0, 2*pi)^8.
 
     exact=True (or rng=None) skips phase jitter and count sampling, keeping
     only the deterministic parts of the noise model; a noiseless model then
-    gives fidelity 1 up to roundoff.  jobs (at least 1) sets the number of
-    chunks the sweep runs in; results do not depend on it.
+    gives fidelity 1 up to roundoff.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    noise = noise if noise is not None else NoiseModel.noiseless()
     children = None if rng is None else spawn([rng], n)
 
     def chunk(lo, hi):
@@ -209,7 +205,7 @@ def random_config_benchmark(n=995, noise=None, rng=None, exact=False, jobs=1):
         fidelity = statistical_fidelity(counts / np.where(total > 0, total, 1.0)[:, None], theory)
         return np.where(total > 0, fidelity, 0.0)
 
-    return BenchmarkReport(_run_chunked(chunk, n, jobs))
+    return BenchmarkReport(_run_chunked(chunk, n))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +233,7 @@ class SuiteReport(_FidelityStats):
 
     def to_dict(self, include_states=True):
         doc = {
-            "schema": 1,
+            "schema": SCHEMA,
             "experiment": self.experiment,
             "mean": self.mean,
             "std": self.std,
@@ -330,7 +326,7 @@ def bell_targets():
     return {name: np.outer(k, k.conj()).astype(complex) for name, k in _BELL_KETS.items()}
 
 
-def bell_state_suite(noise=None, rng=None, mc_trials=25):
+def bell_state_suite(noise=NOISELESS, rng=None, mc_trials=25):
     """Prepare the four Bell states, tomograph each and report fidelities.
 
     Error bars come from Poisson resampling of the counts followed by
@@ -338,7 +334,6 @@ def bell_state_suite(noise=None, rng=None, mc_trials=25):
     disables them; a negative count is a ValueError).
     """
     _check_mc_trials(mc_trials)
-    noise = noise if noise is not None else NoiseModel.noiseless()
     targets = bell_targets()
     names = list(BELL_PREPS)
     children = None if rng is None else spawn([rng], len(names))
@@ -410,7 +405,7 @@ def _chsh_points(alphas, betas, noise, rngs, mc_trials):
     return s, np.std(_chsh_of_counts(resampled), axis=-1, ddof=1)
 
 
-def chsh_sum(alpha, beta, noise=None, rng=None, mc_trials=0):
+def chsh_sum(alpha, beta, noise=NOISELESS, rng=None, mc_trials=0):
     """Bell-CHSH sum S(alpha, beta) from the four correlator settings.
 
     Alice's dials are phi6 = +-pi/4; Bob's are phi8 = beta and beta + pi/2.
@@ -419,7 +414,6 @@ def chsh_sum(alpha, beta, noise=None, rng=None, mc_trials=0):
     mc_trials >= 2.
     """
     _check_mc_trials(mc_trials)
-    noise = noise if noise is not None else NoiseModel.noiseless()
     s, std = _chsh_points([alpha], [beta], noise, None if rng is None else [rng], mc_trials)
     if mc_trials < 2 or rng is None:
         return float(s[0])
@@ -435,7 +429,7 @@ class ManifoldGrid:
 
     def to_dict(self):
         return {
-            "schema": 1,
+            "schema": SCHEMA,
             "experiment": "chsh-manifold",
             "alphas": [float(a) for a in self.alphas],
             "betas": [float(b) for b in self.betas],
@@ -446,9 +440,8 @@ class ManifoldGrid:
         }
 
 
-def chsh_manifold(step=DEFAULT_MANIFOLD_STEP, noise=None, rng=None, mc_trials=0, jobs=1):
-    """S(alpha, beta) on a closed grid over [0, 2*pi] x [0, 2*pi], run in jobs chunks
-    (at least 1; results do not depend on it).  A grid of more than
+def chsh_manifold(step=DEFAULT_MANIFOLD_STEP, noise=NOISELESS, rng=None, mc_trials=0):
+    """S(alpha, beta) on a closed grid over [0, 2*pi] x [0, 2*pi].  A grid of more than
     MAX_MANIFOLD_SIDE points per axis is a ValueError."""
     if not 0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -457,7 +450,6 @@ def chsh_manifold(step=DEFAULT_MANIFOLD_STEP, noise=None, rng=None, mc_trials=0,
         raise ValueError(f"step {step} gives a {npts} x {npts} grid ({npts * npts} points), "
                          f"more than {MAX_MANIFOLD_SIDE} x {MAX_MANIFOLD_SIDE}")
     _check_mc_trials(mc_trials)
-    noise = noise if noise is not None else NoiseModel.noiseless()
     axis = np.arange(npts) * step
     rows, cols = np.divmod(np.arange(npts * npts), npts)
     children = None if rng is None else spawn([rng], npts * npts)
@@ -466,7 +458,7 @@ def chsh_manifold(step=DEFAULT_MANIFOLD_STEP, noise=None, rng=None, mc_trials=0,
         rngs = None if children is None else children[lo:hi]
         return np.array(_chsh_points(axis[rows[lo:hi]], axis[cols[lo:hi]], noise, rngs, mc_trials))
 
-    s, std = _run_chunked(chunk, npts * npts, jobs)
+    s, std = _run_chunked(chunk, npts * npts)
     return ManifoldGrid(axis, axis.copy(), s.reshape(npts, npts), std.reshape(npts, npts))
 
 
@@ -496,10 +488,9 @@ def chsh_extrema(grid=None):
     sign = np.array([-1.0, 1.0])
     best = sign * np.array([grid.s.min(), grid.s.max()])
     h = np.full(2, _FIRST_SPACING)
-    noiseless = NoiseModel.noiseless()
     for _ in range(_MAX_ITER):
         points = (x[:, None, :] + h[:, None, None] * _STENCIL).reshape(-1, 2)
-        f = sign[:, None] * _chsh_points(points[:, 0], points[:, 1], noiseless, None, 0)[0].reshape(2, 9)
+        f = sign[:, None] * _chsh_points(points[:, 0], points[:, 1], NOISELESS, None, 0)[0].reshape(2, 9)
         best = np.maximum(best, f.max(axis=1))
         # f[k, 3 i + j] sits at alpha offset i - 1 and beta offset j - 1 (m: -1, c: 0, p: +1)
         mm, mc, mp, cm, cc, cp, pm, pc, pp = f.T
@@ -573,7 +564,7 @@ def reduced_state_of_config(config):
     return partial_trace(np.outer(psi, psi.conj()), keep="A")
 
 
-def mixed_state_suite(targets=None, n=119, noise=None, rng=None, mc_trials=0):
+def mixed_state_suite(targets=None, n=119, noise=NOISELESS, rng=None, mc_trials=0):
     """Generate mixed single-qubit targets on the chip and tomograph qubit A.
 
     targets: iterable of Bloch vectors; when omitted, n targets are drawn at
@@ -581,7 +572,6 @@ def mixed_state_suite(targets=None, n=119, noise=None, rng=None, mc_trials=0):
     (an empty list, or n < 1) is a ValueError, as is a negative mc_trials.
     """
     _check_mc_trials(mc_trials)
-    noise = noise if noise is not None else NoiseModel.noiseless()
     if targets is None:
         if rng is None:
             raise ValueError("sampling targets requires an rng")
@@ -611,7 +601,7 @@ class HomScan:
 
     def to_dict(self):
         return {
-            "schema": 1,
+            "schema": SCHEMA,
             "experiment": "hom-dip",
             "delays_fs": [float(d) for d in self.delays_fs],
             "expected": [float(e) for e in self.expected],
@@ -623,7 +613,7 @@ class HomScan:
 _PLATEAU_SIGMAS = 6.5  # residual dip depth exp(-6.5^2/2) ~ 7e-10, below tolerance
 
 
-def hom_scan(delays_fs=None, noise=None, rng=None, spectral=None):
+def hom_scan(delays_fs=None, noise=NOISELESS, rng=None, spectral=None):
     """Two-photon coincidence counts against an optical delay, plus fitted visibility.
 
     The visibility estimate takes N_quantum from the zero-delay point and
@@ -632,7 +622,6 @@ def hom_scan(delays_fs=None, noise=None, rng=None, spectral=None):
     a non-finite delay, with no point within half a coherence time of zero
     delay, or that does not reach the plateau on both sides, is a ValueError.
     """
-    noise = noise if noise is not None else NoiseModel.noiseless()
     spectral = spectral or SpectralModel()
     if delays_fs is None:
         delays_fs = np.linspace(-1600.0, 1600.0, 81)
@@ -670,7 +659,7 @@ class FringeScan:
         return list(zip(self.voltages, counts))
 
 
-def fringe_scan(heater, voltages, curve, noise=None, rng=None):
+def fringe_scan(heater, voltages, curve, noise=NOISELESS, rng=None):
     """Single-photon counts at both outputs of one heater's MZ against voltage.
 
     The fringe contrast equals the noise model's indistinguishability
@@ -679,7 +668,6 @@ def fringe_scan(heater, voltages, curve, noise=None, rng=None):
     """
     if not 1 <= heater <= 8:
         raise ValueError("heater index must be 1..8")
-    noise = noise if noise is not None else NoiseModel.noiseless()
     voltages = np.asarray(voltages, dtype=float)
     phi = phase_of_voltage(curve, voltages)
     amp = noise.mean_pairs

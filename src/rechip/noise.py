@@ -284,12 +284,9 @@ def mix_statistics(quantum, classical, v):
 
 
 def expected_counts(probs, model):
-    """Expectation values of the per-outcome counts (accidentals included).
-
-    probs is CoincidenceProbs or an array of outcome probabilities; (N, k)
-    rows give (N, k) expectations.
-    """
-    p = probs.as_array() if hasattr(probs, "as_array") else np.asarray(probs, dtype=float)
+    """Expectation values of the per-outcome counts (accidentals included) of an
+    array of outcome probabilities; (N, k) rows give (N, k) expectations."""
+    p = np.asarray(probs, dtype=float)
     return model.mean_pairs * (p + model.accidental_fraction / p.shape[-1])
 
 

@@ -47,13 +47,6 @@ def psd_sqrt(h):
     return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def unitarity_defect(u):
-    """Max-entry norm of (u†u - I)."""
-    u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-
-
 def align_global_phase(m):
     """Rotate a matrix (or vector) so its largest-magnitude entry is real positive.
 

@@ -130,19 +130,6 @@ def pair_of_pattern(state):
     return modes[0], modes[1]
 
 
-def two_photon_amplitude(u, input_state, output_state):
-    """Bosonic transition amplitude between two-photon occupation patterns.
-
-    The amplitude is the permanent of the 2x2 submatrix picked out by the
-    occupied output rows and input columns (repeated for double occupancy),
-    divided by sqrt(prod n_in! * prod n_out!).
-    """
-    u = np.asarray(u, dtype=complex)
-    a, b = pair_of_pattern(input_state)
-    i, j = pair_of_pattern(output_state)
-    return complex(kernels.two_photon_amps(u, a, b, np.array([i]), np.array([j]))[0])
-
-
 def two_photon_distribution(u, input_state):
     """Probabilities over every two-photon output pattern (sums to 1)."""
     u = np.asarray(u, dtype=complex)
@@ -173,21 +160,6 @@ def distinguishable_distribution(u, input_state):
         pattern_of_pair(i, j, modes): float(p)
         for i, j, p in zip(out_i, out_j, probs)
     }
-
-
-def postselect(dist, accepted):
-    """Condition a pattern distribution on an accepted set.
-
-    Returns (renormalised distribution, success probability).  Zero success
-    is flagged by an empty distribution, not an error.
-    """
-    accepted = set(accepted)
-    if not accepted:
-        raise ValueError("accepted set must be non-empty")
-    success = sum(p for s, p in dist.items() if s in accepted)
-    if success <= 0.0:
-        return {}, 0.0
-    return {s: p / success for s, p in dist.items() if s in accepted}, float(success)
 
 
 # --- serialization ---------------------------------------------------------

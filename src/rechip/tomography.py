@@ -426,10 +426,6 @@ def quantum_fidelity(rho, sigma):
     return float(f) if f.ndim == 0 else f
 
 
-def purity(rho):
-    return float(np.einsum("ij,ji->", rho, rho).real)
-
-
 def partial_trace(rho, keep="A"):
     """Reduced 2x2 state of one qubit of a 4x4 state (basis order 00,01,10,11)."""
     rho = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)

@@ -29,6 +29,12 @@ def assert_equal_up_to_phase(got, expect, atol=1e-9):
     assert np.max(np.abs(rotated - expect)) < atol
 
 
+def unitarity_defect(u):
+    # max-entry norm of u†u - I
+    u = np.asarray(u, dtype=complex)
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+
+
 def brute_force_amplitude(u, input_state, output_state):
     # explicit sum over photon-path assignments with bosonic normalisation
     ins = [m for m, n in enumerate(input_state) for _ in range(n)]

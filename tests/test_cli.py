@@ -86,12 +86,29 @@ class TestSeedRequirement:
         assert json.loads(out)["mean"] == pytest.approx(1.0, abs=1e-9)
 
     def test_exact_mode_is_ideal_device(self, capsys):
-        # --exact overrides the noise flags entirely
-        code, out = run(
-            ["benchmark-random", "--n", "3", "--exact", "--visibility", "0.5"], capsys
-        )
-        assert code == 0
-        assert json.loads(out)["mean"] == pytest.approx(1.0, abs=1e-9)
+        # --exact runs the ideal device: a noise flag that contradicts it is an error
+        assert main(["benchmark-random", "--n", "3", "--exact", "--visibility", "0.5"]) == 2
+        _one_error_line(capsys, "error: benchmark-random: --exact runs the ideal device; drop --visibility 0.5")
+
+    @pytest.mark.parametrize(
+        "argv, config, dropped",
+        [
+            (["chsh-manifold", "--visibility", "0.5", "--accidental", "0.5", "--phase-sigma", "0.3"], None,
+             "--phase-sigma 0.3 --visibility 0.5 --accidental 0.5"),
+            (["hom-dip", "--visibility", "0.9"], None, "--visibility 0.9"),
+            (["bell-suite"], {"accidental": 0.1}, "--accidental 0.1"),
+        ],
+        ids=["all-three", "hom-dip", "from-config"],
+    )
+    def test_exact_rejects_noise_flags(self, argv, config, dropped, tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        out = tmp_path / "report.json"
+        assert main(argv + ["--exact", "--output", str(out)]) == 2
+        _one_error_line(capsys, f"--exact runs the ideal device; drop {dropped}")
+        assert not out.exists()
 
     def test_bell_suite_exact(self, capsys):
         code, out = run(["bell-suite", "--exact", "--mc-trials", "0"], capsys)

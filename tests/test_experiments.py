@@ -51,7 +51,7 @@ class TestPrepConfig:
     def test_trivial_amplitudes(self):
         amps = PrepAmplitudes(1.0, 0.0, 1.0, 0.0)
         config = prep_config(amps)
-        assert np.allclose(config.as_array(), 0.0, atol=0)
+        assert config.phis == (0.0,) * 8
         psi = two_qubit_unitary(config)[:, 0]
         assert abs(psi[0]) == pytest.approx(1.0)
 
@@ -88,9 +88,11 @@ class TestBenchmark:
         b = random_config_benchmark(n=15, noise=NOISE_REF, rng=np.random.default_rng(8))
         assert np.array_equal(a.fidelities, b.fidelities)
 
-    def test_jobs_invariant(self):
-        a = random_config_benchmark(n=12, noise=NOISE_REF, rng=np.random.default_rng(9), jobs=1)
-        b = random_config_benchmark(n=12, noise=NOISE_REF, rng=np.random.default_rng(9), jobs=4)
+    def test_jobs_invariant(self, monkeypatch):
+        """Four chunks of three give the fidelities of one chunk of twelve."""
+        a = random_config_benchmark(n=12, noise=NOISE_REF, rng=np.random.default_rng(9))
+        monkeypatch.setattr("rechip.experiments._MAX_CHUNK", 3)
+        b = random_config_benchmark(n=12, noise=NOISE_REF, rng=np.random.default_rng(9))
         assert np.array_equal(a.fidelities, b.fidelities)
 
     def test_report_dict(self):
@@ -397,15 +399,19 @@ class TestBatchedDrivers:
         assert np.array_equal(batch.as_array(), np.array([s.as_array() for s in single]))
         assert np.array_equal(batch.success, np.array([s.success for s in single]))
 
-    @pytest.mark.parametrize("jobs", [2, 5, 40])
-    def test_benchmark_independent_of_jobs(self, jobs):
+    @pytest.mark.parametrize("chunk", [2, 5, 40])
+    def test_benchmark_independent_of_jobs(self, chunk, monkeypatch):
+        """The benchmark's fidelities do not depend on how many items a chunk holds."""
         ref = random_config_benchmark(17, NOISE_REF, np.random.default_rng(8))
-        out = random_config_benchmark(17, NOISE_REF, np.random.default_rng(8), jobs=jobs)
+        monkeypatch.setattr("rechip.experiments._MAX_CHUNK", chunk)
+        out = random_config_benchmark(17, NOISE_REF, np.random.default_rng(8))
         assert np.array_equal(ref.fidelities, out.fidelities)
 
-    def test_sampled_manifold_independent_of_jobs(self):
+    def test_sampled_manifold_independent_of_jobs(self, monkeypatch):
+        """A sampled grid run in chunks of three points equals the grid run as one chunk."""
         ref = chsh_manifold(TWO_PI / 4, NOISE_REF, np.random.default_rng(9), mc_trials=5)
-        out = chsh_manifold(TWO_PI / 4, NOISE_REF, np.random.default_rng(9), mc_trials=5, jobs=3)
+        monkeypatch.setattr("rechip.experiments._MAX_CHUNK", 3)
+        out = chsh_manifold(TWO_PI / 4, NOISE_REF, np.random.default_rng(9), mc_trials=5)
         assert np.array_equal(ref.s, out.s)
         assert np.array_equal(ref.std, out.std)
 
@@ -415,7 +421,7 @@ class TestBatchedDrivers:
         monkeypatch.setattr("rechip.experiments._MAX_CHUNK", 4)
         assert np.array_equal(random_config_benchmark(23, NOISE_REF, np.random.default_rng(12)).fidelities,
                               bench.fidelities)
-        capped = chsh_manifold(TWO_PI / 4, NOISE_REF, np.random.default_rng(13), mc_trials=3, jobs=2)
+        capped = chsh_manifold(TWO_PI / 4, NOISE_REF, np.random.default_rng(13), mc_trials=3)
         assert np.array_equal(capped.s, grid.s)
         assert np.array_equal(capped.std, grid.std)
 
@@ -427,13 +433,6 @@ class TestBatchedDrivers:
             s, std = chsh_sum(grid.alphas[i], grid.betas[j], NOISE_REF, child, mc_trials=4)
             assert (s, std) == (grid.s[i, j], grid.std[i, j])
 
-    @pytest.mark.parametrize("jobs", [0, -4])
-    def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(ValueError, match="jobs"):
-            random_config_benchmark(5, NOISE_REF, np.random.default_rng(1), jobs=jobs)
-        with pytest.raises(ValueError, match="jobs"):
-            chsh_manifold(TWO_PI / 4, jobs=jobs)
-
     def test_nan_step_rejected(self):
         with pytest.raises(ValueError, match="step"):
             chsh_manifold(step=float("nan"))
@@ -441,7 +440,7 @@ class TestBatchedDrivers:
     def test_grid_side_capped_before_any_work(self, monkeypatch):
         sizes = []
         monkeypatch.setattr("rechip.experiments._run_chunked",
-                            lambda fn, n, jobs: sizes.append(n) or np.zeros((2, n)))
+                            lambda fn, n: sizes.append(n) or np.zeros((2, n)))
         assert chsh_manifold(TWO_PI / 1000).s.shape == (1001, 1001)
         with pytest.raises(ValueError, match=r"1002 x 1002 grid \(1004004 points\)"):
             chsh_manifold(TWO_PI / 1001)

@@ -146,7 +146,7 @@ class TestSampleCounts:
 
     def test_accidentals_add_uniform_rate(self):
         model = NoiseModel(mean_pairs=1e4, accidental_fraction=0.04)
-        lam = expected_counts(CoincidenceProbs(1.0, 0.0, 0.0, 0.0), model)
+        lam = expected_counts(np.array([1.0, 0.0, 0.0, 0.0]), model)
         assert lam[1] == pytest.approx(1e4 * 0.01)
         assert lam[0] == pytest.approx(1e4 * 1.01)
 

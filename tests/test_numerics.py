@@ -6,9 +6,7 @@ from rechip.numerics import (
     hermiticity_defect,
     psd_sqrt,
     tensor,
-    unitarity_defect,
 )
-from conftest import random_unitary
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,17 +66,6 @@ class TestPsdSqrt:
     def test_clamps_boundary_grazing(self):
         root = psd_sqrt(np.diag([-5e-11, 1.0]))
         assert np.linalg.eigvalsh(root).min() >= 0.0
-
-
-class TestUnitarityDefect:
-    def test_identity(self):
-        assert unitarity_defect(np.eye(3)) == 0.0
-
-    def test_scaled_identity(self):
-        assert unitarity_defect(2.0 * np.eye(2)) == pytest.approx(3.0)
-
-    def test_random_unitary(self, rng):
-        assert unitarity_defect(random_unitary(rng, 6)) < 1e-12
 
 
 def test_align_global_phase(rng):

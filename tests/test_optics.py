@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from rechip.numerics import unitarity_defect
+from rechip import kernels
 from rechip.optics import (
     Coupler,
     Netlist,
@@ -12,12 +11,18 @@ from rechip.optics import (
     element_matrix,
     netlist_from_json,
     netlist_to_json,
+    pair_of_pattern,
     pattern_of_pair,
-    postselect,
-    two_photon_amplitude,
     two_photon_distribution,
 )
-from conftest import brute_force_amplitude, random_unitary
+from conftest import brute_force_amplitude, random_unitary, unitarity_defect
+
+
+def two_photon_amplitude(u, input_state, output_state):
+    # one transition amplitude between two-photon occupation patterns, from the device's kernel
+    a, b = pair_of_pattern(input_state)
+    i, j = pair_of_pattern(output_state)
+    return complex(kernels.two_photon_amps(np.asarray(u, dtype=complex), a, b, np.array([i]), np.array([j]))[0])
 
 
 def random_netlist(rng, modes, n_elements=12):
@@ -172,39 +177,6 @@ class TestDistinguishable:
         u = compose(random_netlist(rng, 5))
         dist = distinguishable_distribution(u, pattern_of_pair(0, 3, 5))
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
-
-
-class TestPostselect:
-    def test_all_mass_accepted(self):
-        dist = {(1, 1): 0.4, (2, 0): 0.6}
-        cond, success = postselect(dist, set(dist))
-        assert success == pytest.approx(1.0)
-        assert cond == pytest.approx(dist)
-
-    def test_uniform_half_accepted(self):
-        dist = {k: 0.25 for k in [(2, 0), (0, 2), (1, 1), (1, 1, 0)]}
-        cond, success = postselect(dist, {(2, 0), (0, 2)})
-        assert success == pytest.approx(0.5)
-        assert cond[(2, 0)] == pytest.approx(0.5)
-
-    def test_zero_success_flagged(self):
-        cond, success = postselect({(2, 0): 1.0}, {(1, 1)})
-        assert success == 0.0
-        assert cond == {}
-
-    def test_empty_accept_rejected(self):
-        with pytest.raises(ValueError):
-            postselect({(1, 1): 1.0}, set())
-
-    @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8), st.data())
-    def test_renormalisation_property(self, weights, data):
-        total = sum(weights)
-        dist = {(i,): w / total for i, w in enumerate(weights)}
-        n_accept = data.draw(st.integers(1, len(weights)))
-        accepted = set(list(dist)[:n_accept])
-        cond, success = postselect(dist, accepted)
-        assert 0.0 <= success <= 1.0 + 1e-12
-        assert sum(cond.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_json_roundtrip():

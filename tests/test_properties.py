@@ -2,6 +2,7 @@
 streams, as hypothesis properties."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -224,24 +225,35 @@ def test_spawn_falls_back_to_numpy_for_other_pools(seed, n):
     _same_children(spawn(ours[1:] * 2, n), [c for g in theirs[1:] * 2 for c in g.spawn(n)])
 
 
-JOBS = st.integers(1, 6)
+CHUNK = st.integers(1, 6)  # items per chunk of a sweep (experiments._MAX_CHUNK)
 
 
 def _report_bytes(report):
     return json.dumps(report.to_dict(), sort_keys=True).encode()
 
 
-@given(seed=SEED, n=st.integers(1, 40), jobs=JOBS, other=JOBS)
-def test_benchmark_does_not_depend_on_jobs(seed, n, jobs, other):
-    runs = [experiments.random_config_benchmark(n, NoiseModel(), np.random.default_rng(seed), jobs=j)
-            for j in (jobs, other)]
+def _chunked_runs(run, sizes):
+    # hypothesis rejects function-scoped fixtures, so the chunk size is patched by hand
+    runs = []
+    for size in sizes:
+        with mock.patch.object(experiments, "_MAX_CHUNK", size):
+            runs.append(run())
+    return runs
+
+
+@given(seed=SEED, n=st.integers(1, 40), chunk=CHUNK, other=CHUNK)
+def test_benchmark_does_not_depend_on_jobs(seed, n, chunk, other):
+    """However a sweep is split into chunks, its report is the same."""
+    runs = _chunked_runs(lambda: experiments.random_config_benchmark(
+        n, NoiseModel(), np.random.default_rng(seed)), (chunk, other))
     assert _report_bytes(runs[0]) == _report_bytes(runs[1])
 
 
-@given(seed=SEED, side=st.integers(2, 8), mc_trials=st.sampled_from([0, 2, 5]), jobs=JOBS, other=JOBS)
-def test_manifold_does_not_depend_on_jobs(seed, side, mc_trials, jobs, other):
+@given(seed=SEED, side=st.integers(2, 8), mc_trials=st.sampled_from([0, 2, 5]), chunk=CHUNK, other=CHUNK)
+def test_manifold_does_not_depend_on_jobs(seed, side, mc_trials, chunk, other):
+    """However a grid is split into chunks, its report is the same."""
     step = experiments.TWO_PI / (side - 1)
-    runs = [experiments.chsh_manifold(step, NoiseModel(), np.random.default_rng(seed), mc_trials, jobs=j)
-            for j in (jobs, other)]
+    runs = _chunked_runs(lambda: experiments.chsh_manifold(
+        step, NoiseModel(), np.random.default_rng(seed), mc_trials), (chunk, other))
     assert runs[0].s.shape == (side, side)
     assert _report_bytes(runs[0]) == _report_bytes(runs[1])

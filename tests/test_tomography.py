@@ -16,7 +16,6 @@ from rechip.tomography import (
     monte_carlo_error,
     partial_trace,
     projectors_of_setting,
-    purity,
     quantum_fidelity,
     rho_from_json,
     rho_of_bloch,
@@ -27,6 +26,10 @@ from rechip.tomography import (
 )
 
 BELL = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex) / 2
+
+
+def purity(rho):
+    return float(np.einsum("ij,ji->", rho, rho).real)
 
 
 def ket_dm(vec):
