@@ -8,8 +8,9 @@ fields as JSON on stdout, and with --output the full report (JSON, or CSV
 rows under --format csv).
 
 Exit codes: 0 success, 1 missing/invalid input file, 2 validation failure
-(bad arguments, a noise flag that contradicts --exact, or a failed device
-check).  A rejected argument value gets a one-line diagnostic on stderr.
+(bad arguments, a noise flag that contradicts --exact, --pairs that an
+exact chsh-manifold would ignore, or a failed device check).  A rejected
+argument value gets a one-line diagnostic on stderr.
 """
 
 import argparse
@@ -35,8 +36,9 @@ _NOISE_FLAGS = {
 
 
 def _noise_from_args(args):
-    if not args.pairs > 0:
-        raise ValueError(f"--pairs must be positive, got {args.pairs}")
+    pairs = noise.DEFAULT_MEAN_PAIRS if args.pairs is None else args.pairs
+    if not pairs > 0:
+        raise ValueError(f"--pairs must be positive, got {pairs}")
     values, conflicts = [], []
     for name, (ideal, default) in _NOISE_FLAGS.items():
         # None when not given; hom-dip takes no --phase-sigma or --accidental: the dip reads neither
@@ -44,9 +46,11 @@ def _noise_from_args(args):
         if args.exact and value not in (None, ideal):
             conflicts.append(f"--{name.replace('_', '-')} {value}")
         values.append(ideal if args.exact else default if value is None else value)
+    if args.exact and args.pairs is not None and args.command == "chsh-manifold":
+        conflicts.append(f"--pairs {args.pairs}")  # exact S does not depend on the pair count
     if conflicts:
         raise ValueError(f"--exact runs the ideal device; drop {' '.join(conflicts)}")
-    return noise.NoiseModel(*values, mean_pairs=args.pairs)
+    return noise.NoiseModel(*values, mean_pairs=pairs)
 
 
 def _mc_trials_from_args(args):
@@ -130,7 +134,7 @@ def _add_options(sub, csv=False, sampling=False, jobs=False, device_noise=True):
         sub.add_argument("--phase-sigma", type=float, default=None)
         sub.add_argument("--accidental", type=float, default=None)
     sub.add_argument("--visibility", type=float, default=None)
-    sub.add_argument("--pairs", type=float, default=noise.DEFAULT_MEAN_PAIRS)
+    sub.add_argument("--pairs", type=float, default=None)
 
 
 class _Parser(argparse.ArgumentParser):

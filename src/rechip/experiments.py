@@ -1,15 +1,22 @@
 """End-to-end experiment drivers built on the chip, noise and tomography layers.
 
 Each driver accepts a NoiseModel and a ``numpy.random.Generator`` (or runs
-exactly, probability-level, when the generator is omitted).  Sweeps spawn
-one child generator per task (``noise.spawn``, the children
-``Generator.spawn`` gives, hashed for all parents at once), so results are
-bit-identical however the sweep is split into chunks.
+exactly, probability-level, when the generator is omitted).  The device
+model runs once per batch: a driver evaluates its configurations as one
+array program, chunk by contiguous chunk in order (at most 256 items each),
+and its results do not depend on how a sweep is split into chunks.
 
-The device model runs once per batch: a driver draws each configuration's
-random numbers from its own child generator, in the order configuration,
-phase jitter, counts, and evaluates its configurations as one array program
-in between, chunk by contiguous chunk in order (at most 256 items each).
+Random streams.  A sampled ``random_config_benchmark`` spawns one child
+generator per block of ``STREAM_BLOCK`` rows (``Generator.spawn``).  A
+block of m rows draws each quantity with one array call, in order: its
+configurations ``g.random((m, 8)) * 2*pi``, their phase errors
+``sigma * g.standard_normal((m, 8))``, then its counts ``g.poisson(lam)``,
+chunk by chunk.  An exact run draws only the configurations, and a run
+without a generator takes row i's from ``default_rng(i)``.  The CHSH
+manifold and the tomography suites spawn one child per task instead
+(``noise.spawn``, the children ``Generator.spawn`` gives, hashed for all
+parents at once), and each task draws its configuration's jitter and counts
+from its own child.
 """
 
 from dataclasses import dataclass, field
@@ -56,6 +63,7 @@ SCHEMA = 1  # version of every report document
 NOISELESS = NoiseModel.noiseless()
 
 _MAX_CHUNK = 256  # items per batch: bounds the device model's memory on large sweeps
+STREAM_BLOCK = 256  # rows per child generator of a sampled random_config_benchmark
 
 
 def _run_chunked(fn, n):
@@ -111,8 +119,9 @@ def device_probs(config, noise, rng, input_state="00"):
     Applies per-setting phase jitter (when an rng is given), runs the
     two-photon waveguide model and blends in the distinguishable-photon
     statistics with weight 1 - v.  For an (N, 8) batch of configurations,
-    rng is None or a sequence of N generators, one per row; the netlist is
-    composed once for the whole batch and feeds both photon models.
+    rng is None, one generator for the whole batch or a sequence of N
+    generators, one per row (see apply_phase_noise); the netlist is composed
+    once for the whole batch and feeds both photon models.
     """
     if rng is not None and noise.phase_sigma > 0:
         config = apply_phase_noise(config, noise.phase_sigma, rng)
@@ -170,7 +179,7 @@ class BenchmarkReport(_FidelityStats):
             "mean": self.mean,
             "std": self.std,
             "fraction_above_0.97": self.fraction_above(0.97),
-            "fidelities": [float(f) for f in self.fidelities],
+            "fidelities": self.fidelities.tolist(),
         }
 
 
@@ -185,27 +194,33 @@ def random_config_benchmark(n=995, noise=NOISELESS, rng=None, exact=False):
 
     exact=True (or rng=None) skips phase jitter and count sampling, keeping
     only the deterministic parts of the noise model; a noiseless model then
-    gives fidelity 1 up to roundoff.
+    gives fidelity 1 up to roundoff.  The module docstring gives the draws.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    children = None if rng is None else spawn([rng], n)
-
-    def chunk(lo, hi):
+    children = None if rng is None else rng.spawn(-(-n // STREAM_BLOCK))
+    fidelities = []
+    for block, lo in enumerate(range(0, n, STREAM_BLOCK)):
+        rows = min(STREAM_BLOCK, n - lo)
         if children is None:
-            cfg_rngs = [np.random.default_rng(i) for i in range(lo, hi)]
+            configs = _random_configs([np.random.default_rng(i) for i in range(lo, lo + rows)])
         else:
-            cfg_rngs = children[lo:hi]
-        configs = _random_configs(cfg_rngs)
-        theory = coincidence_probs(configs, "00", model="gate")
-        sim_rngs = None if exact or children is None else cfg_rngs
-        probs = device_probs(configs, noise, sim_rngs)
-        counts = _outcome_counts(probs.as_array(), noise, sim_rngs)
-        total = counts.sum(axis=-1)
-        fidelity = statistical_fidelity(counts / np.where(total > 0, total, 1.0)[:, None], theory)
-        return np.where(total > 0, fidelity, 0.0)
+            configs = children[block].random((rows, 8)) * TWO_PI
+        g = None if exact or children is None else children[block]
+        noisy = configs if g is None else apply_phase_noise(configs, noise.phase_sigma, g)
+        fidelities.append(_run_chunked(lambda i, j: _benchmark_rows(configs[i:j], noisy[i:j], noise, g), rows))
+    return BenchmarkReport(np.concatenate(fidelities))
 
-    return BenchmarkReport(_run_chunked(chunk, n))
+
+def _benchmark_rows(configs, noisy, noise, g):
+    """Fidelities of rows whose device runs at the noisy phases, with counts drawn from g (or expected)."""
+    theory = coincidence_probs(configs, "00", model="gate")
+    counts = expected_counts(device_probs(noisy, noise, None).as_array(), noise)
+    if g is not None:
+        counts = g.poisson(counts)
+    total = counts.sum(axis=-1)
+    fidelity = statistical_fidelity(counts / np.where(total > 0, total, 1.0)[:, None], theory)
+    return np.where(total > 0, fidelity, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +446,10 @@ class ManifoldGrid:
         return {
             "schema": SCHEMA,
             "experiment": "chsh-manifold",
-            "alphas": [float(a) for a in self.alphas],
-            "betas": [float(b) for b in self.betas],
-            "S": [[float(v) for v in row] for row in self.s],
-            "std": [[float(v) for v in row] for row in self.std],
+            "alphas": self.alphas.tolist(),
+            "betas": self.betas.tolist(),
+            "S": self.s.tolist(),
+            "std": self.std.tolist(),
             "max": float(self.s.max()),
             "min": float(self.s.min()),
         }
@@ -603,9 +618,9 @@ class HomScan:
         return {
             "schema": SCHEMA,
             "experiment": "hom-dip",
-            "delays_fs": [float(d) for d in self.delays_fs],
-            "expected": [float(e) for e in self.expected],
-            "counts": [float(c) for c in self.counts],
+            "delays_fs": self.delays_fs.tolist(),
+            "expected": self.expected.tolist(),
+            "counts": self.counts.tolist(),
             "visibility": self.visibility,
         }
 

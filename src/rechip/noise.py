@@ -1,10 +1,10 @@
 """Stochastic imperfection layer: phase jitter, distinguishability, counting noise.
 
 All sampling goes through an explicitly passed ``numpy.random.Generator``;
-a function that consumes an rng needs exclusive access to it.  Sweeps
-derive independent child generators per task (``spawn``, numpy's
-``Generator.spawn`` for many parents at once, bit for bit) so results do
-not depend on how a sweep is split into batches.
+a function that consumes an rng needs exclusive access to it.  The CHSH
+manifold and the tomography suites derive independent child generators per
+task (``spawn``, numpy's ``Generator.spawn`` for many parents at once, bit
+for bit) so results do not depend on how a sweep is split into batches.
 """
 
 import csv
@@ -112,18 +112,23 @@ class SpectralModel:
 def apply_phase_noise(config, sigma, rng):
     """Each phase independently perturbed by N(0, sigma^2), rewrapped to [0, 2*pi).
 
-    For an (N, 8) batch, rng is a sequence of N generators and row k draws
-    its eight errors from rng[k], so a row's draws do not depend on the batch.
+    rng is one Generator, which draws every error of the (N, 8) batch (a
+    PhaseConfig is the batch of one) as one standard_normal((N, 8)) call, or
+    a sequence of N generators, row k drawing its eight errors from rng[k] so
+    that a row's draws do not depend on the batch.
     """
     if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
         return config
-    single = isinstance(config, PhaseConfig)
-    # sigma * z is the double g.normal(0, sigma, 8) returns, without numpy's per-call checks
-    errors = sigma * np.array([g.standard_normal(8) for g in ([rng] if single else rng)])
-    noisy = wrap_phases(phase_batch(config) + errors)
-    return PhaseConfig(noisy[0]) if single else noisy
+    phases = phase_batch(config)
+    if isinstance(rng, np.random.Generator):
+        z = rng.standard_normal(phases.shape)
+    else:
+        z = np.array([g.standard_normal(8) for g in rng])
+    # sigma * z is the double g.normal(0, sigma, size) returns, without numpy's per-call checks
+    noisy = wrap_phases(phases + sigma * z)
+    return PhaseConfig(noisy[0]) if isinstance(config, PhaseConfig) else noisy
 
 
 # --- Child generators: numpy's SeedSequence.spawn as one array program ------

@@ -97,8 +97,11 @@ class TestSeedRequirement:
              "--phase-sigma 0.3 --visibility 0.5 --accidental 0.5"),
             (["hom-dip", "--visibility", "0.9"], None, "--visibility 0.9"),
             (["bell-suite"], {"accidental": 0.1}, "--accidental 0.1"),
+            # an exact manifold's S does not depend on the pair count; an exact dip's counts do
+            (["chsh-manifold", "--pairs", "10"], None, "--pairs 10.0"),
+            (["chsh-manifold"], {"pairs": 500.0}, "--pairs 500.0"),
         ],
-        ids=["all-three", "hom-dip", "from-config"],
+        ids=["all-three", "hom-dip", "from-config", "manifold-pairs", "manifold-pairs-from-config"],
     )
     def test_exact_rejects_noise_flags(self, argv, config, dropped, tmp_path, capsys):
         if config is not None:
@@ -109,6 +112,15 @@ class TestSeedRequirement:
         assert main(argv + ["--exact", "--output", str(out)]) == 2
         _one_error_line(capsys, f"--exact runs the ideal device; drop {dropped}")
         assert not out.exists()
+
+    def test_exact_hom_dip_keeps_pairs(self, tmp_path, capsys):
+        # an exact dip's expected counts scale with the pair count
+        expected = []
+        for pairs in ("10", "1e4"):
+            out = tmp_path / f"hom-{pairs}.json"
+            assert run(["hom-dip", "--exact", "--pairs", pairs, "--output", str(out)], capsys)[0] == 0
+            expected.append(np.array(json.loads(out.read_text())["expected"]))
+        assert np.allclose(expected[1], 1e3 * expected[0], rtol=1e-12, atol=0.0)
 
     def test_bell_suite_exact(self, capsys):
         code, out = run(["bell-suite", "--exact", "--mc-trials", "0"], capsys)

@@ -1,9 +1,10 @@
 """Seeded CLI outputs stay byte-identical.
 
 The files under data/golden/ are the full --output reports of small seeded
-device-model runs: the benchmark and sampled-manifold files were recorded
-before the device model was batched, the exact-manifold CSV, HOM-dip and
-verify-chip files before every report went through one writer, the Bell
+device-model runs: the exact benchmark and sampled-manifold files were
+recorded before the device model was batched, the seeded benchmark file when
+it moved to one generator per block of rows, the exact-manifold CSV, HOM-dip
+and verify-chip files before every report went through one writer, the Bell
 and mixed-state suite files before their counts stopped passing through
 CountRecords.  A change that moves any byte of them changes seeded results
 and must say so.  The last digits depend on the platform's floating-point

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rechip import experiments
-from rechip.chip import BASIS_LABELS, PhaseConfig, phase_batch, wrap_phases
+from rechip.chip import BASIS_LABELS, PhaseConfig, coincidence_probs, phase_batch, wrap_phases
 from rechip.noise import CountRecord, NoiseModel, apply_phase_noise, expected_counts, spawn
-from rechip.tomography import canonical_settings, check_density, mle_reconstruct, mle_reconstruct_batch
+from rechip.tomography import (canonical_settings, check_density, mle_reconstruct, mle_reconstruct_batch,
+                               statistical_fidelity)
 
 # a count is zero, small or large; a setting may also be left out entirely (all its counts zero)
 COUNT = st.one_of(st.just(0), st.integers(0, 30), st.integers(0, 10**6))
@@ -67,8 +68,9 @@ def test_batched_fit_equals_fit_alone(qubits, data):
         assert np.array_equal(via_records.rho, alone.rho)
 
 
-# Sweeps draw every row from its own generator.  Each property below pins a per-row draw, and the state
-# it leaves each generator in, bit for bit to a reference that makes numpy's per-row array call.
+# The manifold and the suites draw every row from its own generator, as does a benchmark run without one.
+# Each property below pins a per-row draw, and the state it leaves each generator in, bit for bit to a
+# reference that makes numpy's per-row array call.
 
 SEED = st.integers(0, 2**64 - 1)
 # an expected count is zero, tiny (subnormals included), below or above numpy's Poisson switch at 10
@@ -136,6 +138,67 @@ def test_chsh_resample_std_matches_one_std_per_point(seed, points, mc_trials, me
     assert np.array_equal(s, experiments._chsh_of_counts(counts))
     assert np.array_equal(std, expected)
     assert _same_states(rngs, twins)
+
+
+# A sampled random_config_benchmark draws from one child generator per block of STREAM_BLOCK rows, each
+# quantity of a block as one array call.  The properties below pin it, with small blocks and chunks, to a
+# replica in plain numpy array calls, and the generators it spawns to the state those calls leave.
+
+BLOCK = st.integers(1, 7)  # rows per child generator (experiments.STREAM_BLOCK)
+CHUNK = st.integers(1, 6)  # items per chunk of a sweep (experiments._MAX_CHUNK)
+
+
+class _RecordingGenerator(np.random.Generator):
+    """A generator that keeps the children it spawns (Generator.spawn makes them of its own type)."""
+
+    def spawn(self, n_children):
+        self.children = super().spawn(n_children)
+        return self.children
+
+
+def _block_replica(seed, n, block, noise, exact):
+    """Fidelities and spent child generators of the block layout, in plain numpy calls."""
+    children = np.random.default_rng(seed).spawn(-(-n // block))
+    fidelities = []
+    for k, g in enumerate(children):
+        configs = g.random((min(block, n - k * block), 8)) * experiments.TWO_PI
+        noisy = configs
+        if not exact and noise.phase_sigma > 0:
+            noisy = wrap_phases(configs + noise.phase_sigma * g.standard_normal(configs.shape))
+        lam = expected_counts(experiments.device_probs(noisy, noise, None).as_array(), noise)
+        counts = lam if exact else g.poisson(lam).astype(float)
+        total = counts.sum(axis=-1)
+        theory = coincidence_probs(configs, "00", model="gate")
+        fidelity = statistical_fidelity(counts / np.where(total > 0, total, 1.0)[:, None], theory)
+        fidelities.append(np.where(total > 0, fidelity, 0.0))
+    return np.concatenate(fidelities), children
+
+
+@given(seed=SEED, n=st.integers(1, 30), block=BLOCK, chunk=CHUNK, exact=st.booleans(),
+       noise=st.sampled_from([NoiseModel(), NoiseModel(phase_sigma=0.0), NoiseModel(mean_pairs=3.0)]))
+def test_benchmark_draws_one_stream_per_block(seed, n, block, chunk, exact, noise):
+    """Per block: configurations, then (sampled) errors, then counts, each one array call; exact draws only
+    the configurations.  Chunks smaller or larger than a block change nothing."""
+    rng = _RecordingGenerator(np.random.PCG64(seed))
+    with mock.patch.object(experiments, "STREAM_BLOCK", block), mock.patch.object(experiments, "_MAX_CHUNK", chunk):
+        report = experiments.random_config_benchmark(n, noise, rng, exact=exact)
+    fidelities, twins = _block_replica(seed, n, block, noise, exact)
+    assert np.array_equal(report.fidelities, fidelities)
+    assert _same_states(rng.children, twins)
+
+
+@given(seed=SEED, sigma=st.floats(0.0, 1e300), rows=st.integers(1, 12), single=st.booleans())
+def test_phase_noise_from_one_generator_draws_one_normal_array(seed, sigma, rows, single):
+    phases = np.random.default_rng(seed ^ 1).random((rows, 8)) * experiments.TWO_PI
+    config = PhaseConfig(phases[0]) if single else phases
+    g, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    noisy = apply_phase_noise(config, sigma, g)
+    expected = phase_batch(config)
+    if sigma > 0.0:
+        expected = wrap_phases(expected + sigma * twin.standard_normal(expected.shape))
+    assert np.array_equal(phase_batch(noisy), expected)
+    assert isinstance(noisy, PhaseConfig) == single
+    assert g.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.xfail(strict=True, reason="each setting draws its own errors for all eight phases, so the four "
@@ -223,9 +286,6 @@ def test_spawn_falls_back_to_numpy_for_other_pools(seed, n):
     _same_children(children, [c for g in theirs for c in g.spawn(n)])
     assert all(type(c.bit_generator.seed_seq) is np.random.SeedSequence for c in children[:n])
     _same_children(spawn(ours[1:] * 2, n), [c for g in theirs[1:] * 2 for c in g.spawn(n)])
-
-
-CHUNK = st.integers(1, 6)  # items per chunk of a sweep (experiments._MAX_CHUNK)
 
 
 def _report_bytes(report):
