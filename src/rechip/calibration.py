@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import finite_floats, read_rows
+from .numerics import CONVERGED, STOP_MESSAGES, minimize
 
 V_MIN, V_MAX = 0.0, 7.0
 
@@ -49,7 +50,7 @@ class FringeFit:
     curve: HeaterCurve
     rms_residual: float
     evaluations: int  # residual evaluations of the winning start
-    stop: str  # its entry of STOP_MESSAGES
+    stop: str  # its entry of numerics.STOP_MESSAGES
 
 
 def phase_of_voltage(curve, v):
@@ -90,31 +91,16 @@ def _initial_guesses(counts):
     return np.array([[amp, contrast, a0, a2, 0.0, 0.0] for a2 in START_A2 for a0 in START_A0])
 
 
-# Levenberg-Marquardt settings of fit_fringe (see its docstring)
 START_A2 = np.geomspace(0.05, 1.0, 12)  # a2 of the starts: under half a fringe to about 8 over 0..7 V
 START_A0 = (0.0, np.pi)  # a0 of the starts, each paired with every a2
-FTOL = 1e-15  # relative cost reduction, actual and predicted, that ends a start
-XTOL = 1e-15  # scaled step length, relative to the scaled parameters, that ends a start
-GTOL = 1e-15  # largest scaled gradient cosine that ends a start
-MAX_EVALUATIONS = 1000  # a converging start takes tens
-FIRST_DAMPING = 1e-3  # damping relative to the squared column norms at the start
-PRUNE_RATIO = 10.0  # a start whose cost stays this many times the best start's ...
-PRUNE_AFTER = 5  # ... for this many iterations in a row stops
-STOP_MESSAGES = (
-    "converged: relative reduction of the cost below FTOL",
-    "converged: scaled step below XTOL",
-    "converged: scaled gradient below GTOL",
-    "stopped: evaluation limit MAX_EVALUATIONS",
-    "stopped: cost stayed PRUNE_RATIO times the best start's",
-)
-_CONVERGED = (0, 1, 2)  # the status codes (indices into STOP_MESSAGES) of a converged start
 _LOWER = np.array([0.0, 0.0, -2 * np.pi, 0.0, -np.inf, -np.inf])
 _UPPER = np.array([np.inf, 1.0, 2 * np.pi, np.inf, np.inf, np.inf])
 _POWERS = np.array([0, 2, 3, 4])  # of V in phi: a0, a2, a3, a4
 
 
-def _residuals_and_jacobian(theta, volts, counts):
-    """Residuals (S, N) of the S parameter rows (A, C, a0, a2, a3, a4) and their Jacobian (S, N, 6)."""
+def _cost_gradient_gauss_newton(theta, volts, counts):
+    """Half the residual sum of squares (S,) of the S parameter rows (A, C, a0, a2, a3, a4), its
+    gradient J^T r (S, 6) and the Gauss-Newton Hessian J^T J (S, 6, 6), with J the residuals' Jacobian."""
     amp, contrast = theta[:, :1], theta[:, 1:2]
     powers = volts[:, None] ** _POWERS  # (N, 4)
     phi = theta[:, 2:] @ powers.T
@@ -122,58 +108,8 @@ def _residuals_and_jacobian(theta, volts, counts):
     dphi = 0.5 * amp * contrast * np.sin(phi)  # df/dphi
     jac = np.concatenate([(1.0 - contrast * cos2)[..., None], (-amp * cos2)[..., None],
                           dphi[..., None] * powers], axis=-1)
-    return amp * (1.0 - contrast * cos2) - counts, jac
-
-
-def _levenberg_marquardt(x, volts, counts):
-    """Least-squares fits of the fringe from every row of x (S, 6), as one batch.
-
-    Returns the final rows, their costs (half the residual sum of squares),
-    evaluation counts and status codes (indices into STOP_MESSAGES).
-    """
-    x = np.clip(x, _LOWER, _UPPER)
-    r, jac = _residuals_and_jacobian(x, volts, counts)
-    cost = 0.5 * np.sum(r**2, axis=1)
-    norms = np.linalg.norm(jac, axis=1)
-    scale = np.where(norms > 0, norms, 1.0)
-    damping = np.full(len(x), FIRST_DAMPING)
-    growth = np.full(len(x), 2.0)
-    evaluations = np.ones(len(x), dtype=int)
-    behind = np.zeros(len(x), dtype=int)
-    status = np.full(len(x), -1)
-    eye = np.eye(x.shape[1], dtype=bool)
-    while (a := np.flatnonzero(status < 0)).size:
-        grad = np.einsum("snk,sn->sk", jac[a], r[a])
-        held = ((x[a] <= _LOWER) & (grad > 0)) | ((x[a] >= _UPPER) & (grad < 0))
-        grad = np.where(held, 0.0, grad)
-        rnorm = np.sqrt(2.0 * cost[a])
-        cosine = np.max(np.abs(grad) / scale[a], axis=1) / np.where(rnorm > 0, rnorm, 1.0)
-        hess = np.einsum("snj,snk->sjk", jac[a], jac[a])
-        system = hess + damping[a, None, None] * scale[a, :, None] ** 2 * eye
-        system = np.where(held[:, :, None] | held[:, None, :], eye, system)
-        step = -np.linalg.solve(system, grad[..., None])[..., 0]
-        trial = np.clip(x[a] + step, _LOWER, _UPPER)
-        step = trial - x[a]
-        predicted = -np.einsum("sk,sk->s", grad, step) - 0.5 * np.einsum("sj,sjk,sk->s", step, hess, step)
-        r_trial, jac_trial = _residuals_and_jacobian(trial, volts, counts)
-        evaluations[a] += 1
-        cost_trial = 0.5 * np.sum(r_trial**2, axis=1)
-        actual = cost[a] - cost_trial
-        ratio = np.divide(actual, predicted, out=np.zeros_like(actual), where=predicted > 0)
-        small_cost = (np.abs(actual) <= FTOL * cost[a]) & (predicted <= FTOL * cost[a]) & (ratio <= 2.0)
-        small_step = np.linalg.norm(scale[a] * step, axis=1) <= XTOL * np.linalg.norm(scale[a] * x[a], axis=1)
-        accept = (actual > 0) & (predicted > 0)
-        moved = a[accept]
-        x[moved], r[moved], jac[moved] = trial[accept], r_trial[accept], jac_trial[accept]
-        cost[moved] = cost_trial[accept]
-        scale[moved] = np.maximum(scale[moved], np.linalg.norm(jac_trial[accept], axis=1))
-        damping[a] *= np.where(accept, np.maximum(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), growth[a])
-        growth[a] = np.where(accept, 2.0, 2.0 * growth[a])
-        behind[a] = np.where(cost[a] > PRUNE_RATIO * cost.min(), behind[a] + 1, 0)
-        stops = [small_cost, small_step, cosine <= GTOL, evaluations[a] >= MAX_EVALUATIONS,
-                 behind[a] >= PRUNE_AFTER]
-        status[a] = np.select(stops, range(len(stops)), -1)
-    return x, cost, evaluations, status
+    r = amp * (1.0 - contrast * cos2) - counts
+    return 0.5 * np.sum(r**2, axis=1), np.einsum("snk,sn->sk", jac, r), np.einsum("snj,snk->sjk", jac, jac)
 
 
 def fit_fringe(samples):
@@ -182,24 +118,13 @@ def fit_fringe(samples):
     samples: sequence of (voltage, counts) pairs, at least 20, spanning at
     least one full fringe period.
 
-    Method: bounded Levenberg-Marquardt (More, "The Levenberg-Marquardt
-    algorithm: implementation and theory", LNM 630, 1978) from 24 fixed
-    starts at once (a2 on START_A2 times a0 on START_A0, A and C from the
-    extreme counts, a3 = a4 = 0), as one (starts, 6) array program with the
-    analytic Jacobian of fringe_model.  The damping term is lambda D^2, with
-    D the running maximum of the Jacobian's column norms (More's scaling);
-    lambda follows the gain ratio (Nielsen's update).  Bounds (A >= 0,
-    0 <= C <= 1, |a0| <= 2 pi, a2 >= 0) are kept by projecting each trial
-    point onto the box; a parameter at a bound whose gradient points out of
-    the box is held there for the step.
-
-    Stopping rule, per start: the actual and predicted relative cost
-    reductions of a step are both below FTOL, the scaled step is below XTOL
-    of the scaled parameters, the free gradient's largest scaled cosine with
-    the residual is below GTOL, or MAX_EVALUATIONS residual evaluations are
-    spent.  Pruning rule: a start whose cost stays above PRUNE_RATIO times
-    the lowest current cost of all starts for PRUNE_AFTER iterations in a
-    row stops.  The lowest-cost start wins (the first on a tie).
+    Method: numerics.minimize (bounded Levenberg-Marquardt: damped
+    Gauss-Newton steps with the analytic Jacobian of fringe_model) from 24
+    fixed starts at once (a2 on START_A2 times a0 on START_A0, A and C from
+    the extreme counts, a3 = a4 = 0), as one (starts, 6) array program.  The
+    bounds are A >= 0, 0 <= C <= 1, |a0| <= 2 pi and a2 >= 0.  Starts that
+    stay far behind the best are pruned, and the lowest-cost start wins (the
+    first on a tie).
 
     Raises
     ------
@@ -215,9 +140,10 @@ def fit_fringe(samples):
     if not np.all(np.isfinite(samples)):
         raise ValueError("fringe samples must be finite")
     volts, counts = samples[:, 0], samples[:, 1]
-    x, cost, evaluations, status = _levenberg_marquardt(_initial_guesses(counts), volts, counts)
+    x, cost, steps, status = minimize(lambda theta, rows: _cost_gradient_gauss_newton(theta, volts, counts),
+                                      _initial_guesses(counts), _LOWER, _UPPER, prune=True)
     best = int(np.argmin(cost))
-    if status[best] not in _CONVERGED:
+    if status[best] not in CONVERGED:
         raise CalibrationError(f"fringe fit did not converge: {STOP_MESSAGES[status[best]]}")
     amp, contrast, a0, a2, a3, a4 = x[best]
     curve = HeaterCurve(a0, a2, a3, a4)
@@ -226,8 +152,7 @@ def fit_fringe(samples):
         raise CalibrationError(f"fit residual {rms:.3g} exceeds 10% of amplitude {amp:.3g}")
     if not curve.is_monotone():
         raise CalibrationError("fitted phase-voltage curve is not monotone on (0, 7] V")
-    return FringeFit(float(amp), float(contrast), curve, rms, int(evaluations[best]),
-                     STOP_MESSAGES[status[best]])
+    return FringeFit(float(amp), float(contrast), curve, rms, int(steps[best]) + 1, STOP_MESSAGES[status[best]])
 
 
 # --- file formats -----------------------------------------------------------

@@ -103,24 +103,27 @@ def quadratic_forms(projs, dim):
     # Tr(T P T†) = sum over i, j, l of T[i, j] P[j, l] conj(T[i, l])
     m = np.einsum("ija,kjl,ilb->kab", a, projs, a.conj()).real
     forms = np.concatenate([(m + m.swapaxes(-1, -2)) / 2, np.eye(dim * dim)[None]])
-    # the same stack, laid out so that mle_nll_grad's forms.reshape(-1, dim**2).T is C-contiguous
-    forms = np.ascontiguousarray(forms.reshape(-1, dim * dim).T).T.reshape(forms.shape)
     forms.flags.writeable = False
     return forms
 
 
 def mle_nll_grad(theta, forms, counts, totals, dim, floor):
-    """Negative log-likelihood -sum_k [n_k log(N_k p_k) - N_k p_k] and its gradient.
+    """Negative log-likelihood -sum_k [n_k log(N_k p_k) - N_k p_k], its gradient and its Hessian.
 
     forms are the quadratic forms of the K outcome projectors
     (``quadratic_forms``).  theta is one parameter vector or a (B, dim**2)
     batch, with counts and totals (K,) or (B, K); an outcome with N_k = 0
-    (and so n_k = 0) adds nothing.  With u_k = Q_k theta and
-    tau = theta . theta, p_k = theta . u_k / tau and
-    d p_k / d theta = 2 (u_k - p_k theta) / tau.
+    (and so n_k = 0) adds nothing, nor does one whose p_k is at the floor.
+    With u_k = Q_k theta and tau = theta . theta, p_k = theta . u_k / tau and
+    g_k = d p_k / d theta = 2 (u_k - p_k theta) / tau.  With
+    w_k = n_k / p_k - N_k and s = sum_k w_k g_k, the gradient is -s and the
+    Hessian is
+
+        sum_k (n_k / p_k**2) g_k g_k^T
+        + (2 / tau) [theta s^T + s theta^T + (sum_k w_k p_k) I - sum_k w_k Q_k].
     """
-    x = theta[..., None, :]
-    u = (x @ forms.reshape(-1, dim * dim).T).reshape(theta.shape[:-1] + forms.shape[:2])
+    size = dim * dim
+    u = (forms.reshape(-1, size) @ theta[..., None]).reshape(theta.shape[:-1] + forms.shape[:2])
     q = (u @ theta[..., None])[..., 0]  # theta . u_k, then tau
     tau = q[..., -1:]
     p = q[..., :-1] / tau
@@ -128,6 +131,13 @@ def mle_nll_grad(theta, forms, counts, totals, dim, floor):
     expected = totals * pc
     val = np.add.reduce(expected - counts * np.log(np.maximum(expected, _TINY)), axis=-1)
 
-    w = np.where(p > floor, counts / pc - totals, 0.0)[..., None, :]
-    grad = ((w @ p[..., None])[..., 0] * theta - (w @ u[..., :-1, :])[..., 0, :]) * (2.0 / tau)
-    return val, grad
+    live = p > floor
+    w = np.where(live, counts / pc - totals, 0.0)[..., None, :]
+    g = (u[..., :-1, :] - p[..., None] * theta[..., None, :]) * (2.0 / tau[..., None])
+    s = (w @ g)[..., 0, :]
+    wp = (w @ p[..., None])[..., 0, :, None]
+    ts = theta[..., :, None] * s[..., None, :]
+    wq = (w @ forms[:-1].reshape(-1, size * size)).reshape(theta.shape[:-1] + (size, size))
+    hess = ((g.swapaxes(-1, -2) * np.where(live, counts / (pc * pc), 0.0)[..., None, :]) @ g
+            + (ts + ts.swapaxes(-1, -2) + wp * np.eye(size) - wq) * (2.0 / tau[..., None]))
+    return val, -s, hess

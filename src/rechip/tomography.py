@@ -17,11 +17,12 @@ probabilities are floored at 1e-12 inside the likelihood to avoid -inf at
 the boundary of the state space.  The search starts from projected linear
 inversion (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)): the
 least-squares rho with its eigenvalues projected onto the probability
-simplex and floored, so that the start is full rank.  B records that share
-one setting list are fitted as one batch, each with its own dense-BFGS state
-and stopping test, in the manner of Shang, Zhang, Ng & Ng, "Superfast
-maximum-likelihood reconstruction for quantum tomography", PRA 95, 062336
-(2017).
+simplex and floored, so that the start is full rank.  The fit takes damped
+Newton steps with the likelihood's exact Hessian (``numerics.minimize``).
+B records that share one setting list are fitted as one batch, each with its
+own damping and stopping test, in the manner of Shang, Zhang, Ng & Ng,
+"Superfast maximum-likelihood reconstruction for quantum tomography", PRA 95,
+062336 (2017).
 """
 
 import itertools
@@ -35,7 +36,7 @@ import numpy as np
 from . import kernels
 from .chip import u_prep
 from .noise import CountRecord
-from .numerics import psd_sqrt, tensor
+from .numerics import CONVERGED, STOP_MESSAGES, minimize, psd_sqrt, tensor
 
 PROB_FLOOR = 1e-12
 START_EIGEN_FLOOR = 1e-3  # smallest eigenvalue of the linear-inversion start
@@ -66,10 +67,11 @@ class MeasurementSetting:
 class MLEResult:
     """A reconstruction and how the optimizer ended.
 
-    ``converged`` says whether the fit met one of ``minimize``'s convergence
-    tests and ``message`` names the test that stopped it (one of
-    STOP_MESSAGES); ``params`` is the optimum in the T†T parameterisation, a
-    warm start for fits of nearby data.
+    ``converged`` says whether the fit stopped at a stationary point by one
+    of ``numerics.minimize``'s convergence tests, ``iterations`` counts its
+    Newton steps (taken or not) and ``message`` names the test that stopped
+    it (one of ``numerics.STOP_MESSAGES``); ``params`` is the optimum in the
+    T†T parameterisation, a warm start for fits of nearby data.
     """
 
     rho: np.ndarray
@@ -78,129 +80,6 @@ class MLEResult:
     converged: bool
     message: str
     params: np.ndarray
-
-
-# minimize's per-row stopping tests
-FTOL = 1e-13  # a step lowers f, or the next step predicts it to lower f, by at most FTOL max(|f|, 1)
-GTOL = 1e-12  # no gradient component exceeds GTOL
-MAX_ITER = 5000
-ARMIJO = 1e-4  # sufficient-decrease constant of the line search
-MAX_BACKTRACKS = 60
-
-STOP_MESSAGES = (
-    "converged: relative reduction of f below FTOL",
-    "converged: gradient below GTOL",
-    "converged: predicted reduction of f below FTOL",
-    "stopped: iteration limit MAX_ITER",
-    "stopped: no decrease along the search direction",
-)
-CONVERGED = (0, 1, 2)  # the status codes (indices into STOP_MESSAGES) of a converged row
-
-
-def minimize(fun, x0, scale, args=()):
-    """Minimise every row of x0 (B, D) on its own by quasi-Newton (BFGS) steps.
-
-    ``fun(x, *args)`` returns the values (n,) and gradients (n, D) at the n
-    rows of x, given the matching rows of each (B, ...) array in ``args``.
-    Each row keeps its own dense inverse-Hessian estimate, its own Armijo
-    backtracking line search (quadratic interpolation, trial step 1) and its
-    own stopping test.  The estimate is the BFGS update of gamma I with
-    gamma rescaled after every step to s.y / y.y of the latest step, as
-    limited-memory BFGS does with all steps kept (Shanno and Phua's scaling,
-    renewed each step); it is held as gamma A + B, with A and B updated by
-    the same recursion.  ``scale`` (a number or one per row) is the first
-    gamma, which sets the length of the first step.  A row stops when a
-    step lowers f, or the next step predicts it to lower f (g.Hg), by at
-    most FTOL max(|f|, 1), when no gradient component exceeds GTOL, when no
-    decrease is found along the search direction, or after MAX_ITER steps.
-    Rows are computed as stacks, so a row's result does not depend on the
-    other rows of the batch.
-
-    Returns the rows' minimisers (B, D), their values (B,), their iteration
-    counts (B,) and their status codes (B,), indices into STOP_MESSAGES.
-    """
-    x = np.array(x0, dtype=np.float64)
-    b, dim = x.shape
-    result = (np.empty_like(x), np.empty(b), np.empty(b, dtype=np.int64), np.empty(b, dtype=np.int64))
-    x_out, f_out, nit_out, status_out = result
-    rows = np.arange(b)
-    f, g = fun(x, *args)
-    f_prev = np.full(b, np.nan)
-    gamma = np.array(np.broadcast_to(scale, (b,)), dtype=np.float64).reshape(b, 1, 1)
-    ab = np.zeros((b, 2, dim, dim))  # A and B of the estimate gamma A + B
-    ab[:, 0] = np.eye(dim)
-    failed = None  # rows whose line search found no decrease
-    it = 0
-    while True:
-        abg = ab @ g[:, None, :, None]
-        hg = (gamma * abg[:, 0] + abg[:, 1])[..., 0]  # H g; the step is -H g
-        decrease = (g[:, None, :] @ hg[..., None])[:, 0, 0]  # the step's predicted decrease g.Hg
-        tol = np.maximum(np.abs(f), 1.0) * FTOL
-        stop = (np.minimum(f_prev - f, decrease) <= tol) | (np.maximum.reduce(np.abs(g), axis=-1) <= GTOL)
-        if failed is not None:
-            stop |= failed
-        if it >= MAX_ITER:
-            stop[:] = True
-        if np.count_nonzero(stop):
-            i = np.flatnonzero(stop)
-            x_out[rows[i]], f_out[rows[i]], nit_out[rows[i]] = x[i], f[i], it
-            status_out[rows[i]] = np.select(
-                [np.zeros(len(i), dtype=bool) if failed is None else failed[i],
-                 np.abs(g[i]).max(axis=-1) <= GTOL, decrease[i] <= 0, f_prev[i] - f[i] <= tol[i],
-                 decrease[i] <= tol[i]], [4, 1, 4, 0, 2], 3)
-            if len(i) == len(stop):
-                return result
-            keep = ~stop
-            x, f, g, hg, decrease, f_prev, gamma, ab, rows = (
-                v[keep] for v in (x, f, g, hg, decrease, f_prev, gamma, ab, rows))
-            args = tuple(a[keep] for a in args)
-
-        x_new = x - hg
-        f_new, g_new = fun(x_new, *args)
-        ok = f_new <= f - ARMIJO * decrease
-        failed = None
-        if np.count_nonzero(ok) < len(ok):
-            failed = ~ok
-            t = np.ones(len(x))
-            for _ in range(MAX_BACKTRACKS):
-                i = np.flatnonzero(failed)
-                ti, di = t[i], decrease[i]
-                # minimiser of the quadratic through f, the slope -g.Hg and f_new, kept within [0.1, 0.5] t
-                t[i] = np.fmin(np.fmax(di * ti**2 / (2.0 * (f_new[i] - f[i] + di * ti)), 0.1 * ti), 0.5 * ti)
-                x_new[i] = x[i] - t[i, None] * hg[i]
-                f_new[i], g_new[i] = fun(x_new[i], *(a[i] for a in args))
-                failed[i] = ~(f_new[i] <= f[i] - ARMIJO * t[i] * di)
-                if not np.count_nonzero(failed):
-                    break
-            # rows with no decrease stay where they are and stop
-            x_new[failed], f_new[failed], g_new[failed] = x[failed], f[failed], g[failed]
-
-        pair = np.empty((len(x), 2, dim))  # the step s and the change of gradient y
-        s = np.subtract(x_new, x, out=pair[:, 0])
-        y = np.subtract(g_new, g, out=pair[:, 1])
-        yc = y[:, :, None]
-        products = pair @ yc  # s.y and y.y
-        sy = products[:, :1]
-        curved = sy[:, 0, 0] > 0  # only these rows update their estimate
-        all_curved = np.count_nonzero(curved) == len(curved)
-        if not all_curved:
-            products = np.where(curved[:, None, None], products, 1.0)
-            sy = products[:, :1]
-        inv_sy = 1.0 / sy
-        # M -> (I - s y^T / s.y) M (I - y s^T / s.y) for M = A and B, and B gains s s^T / s.y
-        rs = inv_sy * s[:, None, :]
-        rmy = inv_sy[:, None] * (ab @ yc[:, None])
-        v = (y[:, None, None, :] @ rmy) * rs[:, None] - rmy.swapaxes(-1, -2)
-        v[:, 1] += rs
-        ab_new = ab + s[:, None, :, None] * v - rmy * s[:, None, None, :]
-        gamma_new = sy / products[:, 1:]
-        if all_curved:
-            ab, gamma = ab_new, gamma_new
-        else:
-            ab = np.where(curved[:, None, None, None], ab_new, ab)
-            gamma = np.where(curved[:, None, None], gamma_new, gamma)
-        x, f_prev, f, g = x_new, f, f_new, g_new
-        it += 1
 
 
 def check_density(rho):
@@ -333,6 +212,20 @@ def linear_inversion_start(settings, counts, totals):
     return kernels.params_from_rho((vecs * lam[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
 
 
+def _nll(theta, forms, counts, totals, dim):
+    """The negative log-likelihood of (B, dim**2) parameters, its gradient and its Hessian
+    (kernels.mle_nll_grad), made regular along theta.
+
+    f does not change along theta (c theta gives the same rho), so the Hessian is singular in that
+    direction at the optimum.  Adding theta theta^T / tau times the Hessian's largest diagonal entry
+    gives that direction the largest curvature and leaves the curvature along every direction
+    orthogonal to theta as it is.
+    """
+    f, g, h = kernels.mle_nll_grad(theta, forms, counts, totals, dim, PROB_FLOOR)
+    top = h.diagonal(axis1=-2, axis2=-1).max(axis=-1) / (theta * theta).sum(axis=-1)
+    return f, g, h + top[:, None, None] * (theta[:, :, None] * theta[:, None, :])
+
+
 def mle_reconstruct_batch(settings, counts, start=None):
     """Maximum-likelihood fits of B records that share one setting list, as one batch.
 
@@ -340,8 +233,8 @@ def mle_reconstruct_batch(settings, counts, start=None):
     and outcome.  The search starts from ``start``, (B, dim**2) parameters
     of earlier fits (e.g. ``MLEResult.params`` of the point estimate when
     refitting resampled counts), or else from projected linear inversion.
-    Every record keeps its own optimizer state and stopping test (see
-    ``minimize``), so its result is bit-identical to fitting it alone.
+    Every record keeps its own damping and stopping test (see
+    ``numerics.minimize``), so its result is bit-identical to fitting it alone.
     Returns one MLEResult per record.
 
     Raises
@@ -354,12 +247,8 @@ def mle_reconstruct_batch(settings, counts, start=None):
     dim = 2 ** settings[0].qubits
     forms = _forms(settings)
 
-    def objective(theta, n, totals):
-        return kernels.mle_nll_grad(theta, forms, n, totals, dim, PROB_FLOOR)
-
     theta0 = linear_inversion_start(settings, n, totals) if start is None else start
-    # the likelihood's curvature grows with the counts: a first step of about g / (total counts)
-    theta, f, nit, status = minimize(objective, theta0, 1.0 / n.sum(axis=-1), args=(n, totals))
+    theta, f, nit, status = minimize(lambda theta, rows: _nll(theta, forms, n[rows], totals[rows], dim), theta0)
     rho = kernels.rho_from_params(theta, dim)
     # Hermitise exactly; the parameterisation already guarantees PSD and trace 1
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2

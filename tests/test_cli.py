@@ -485,7 +485,7 @@ class TestTomoCommand:
 
     def test_reports_optimizer_status(self, tmp_path, capsys, monkeypatch):
         # a fit stopped by the iteration limit: not converged, its iterations and the reason
-        monkeypatch.setattr(rechip.tomography, "MAX_ITER", 3)
+        monkeypatch.setattr(rechip.numerics, "MAX_ITER", 3)
         path = tmp_path / "counts.csv"
         bell = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex) / 2
         write_count_records(path, simulate_counts(canonical_settings(2), bell, 1e3))

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rechip import tomography
+from rechip import numerics
 from rechip.calibration import HeaterCurve, fit_fringe
 from rechip.chip import BASIS_LABELS, PhaseConfig, coincidence_probs, two_qubit_unitary
 from rechip.cli import main
@@ -141,7 +141,7 @@ class TestBellSuite:
         assert [e.error for e in report.entries] == [0.0] * 4
 
     def test_fits_not_converged_counts_every_fit(self, monkeypatch):
-        monkeypatch.setattr(tomography, "MAX_ITER", 3)  # every fit stops unconverged
+        monkeypatch.setattr(numerics, "MAX_ITER", 3)  # every fit stops unconverged
         report = bell_state_suite(noise=NOISE_REF, rng=np.random.default_rng(4), mc_trials=2)
         assert report.to_dict()["fits_not_converged"] == 4 * 3  # a point fit and two resamples each
 

@@ -5,8 +5,9 @@ device-model runs: the exact benchmark and sampled-manifold files were
 recorded before the device model was batched, the seeded benchmark file when
 it moved to one generator per block of rows, the exact-manifold CSV, HOM-dip
 and verify-chip files before every report went through one writer, the Bell
-and mixed-state suite files before their counts stopped passing through
-CountRecords.  A change that moves any byte of them changes seeded results
+and mixed-state suite files when the maximum-likelihood fit moved from BFGS
+to damped Newton steps with the exact Hessian (its fits stop nearer the
+optimum, which moved the suites' last digits).  A change that moves any byte of them changes seeded results
 and must say so.  The last digits depend on the platform's floating-point
 kernels (numpy's SIMD loops and BLAS), so a mismatch on a different machine
 is not by itself a defect.

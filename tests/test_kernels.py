@@ -74,7 +74,7 @@ def test_mle_paths_agree(dim, rng):
         rho = kernels.rho_from_params(theta, dim)
         p = np.array([np.trace(proj @ rho).real for proj in projs])
         expect = -np.sum(counts * np.log(totals * p) - totals * p)
-        value, _ = kernels.mle_nll_grad(theta, kernels.quadratic_forms(projs, dim), counts, totals, dim, 1e-12)
+        value, _, _ = kernels.mle_nll_grad(theta, kernels.quadratic_forms(projs, dim), counts, totals, dim, 1e-12)
         assert value == pytest.approx(expect, rel=1e-12)
 
 
@@ -82,16 +82,42 @@ def test_mle_paths_agree(dim, rng):
 def test_mle_gradient_matches_finite_differences(dim, rng):
     theta, projs, counts, totals = _random_mle_problem(rng, dim)
     forms = kernels.quadratic_forms(projs, dim)
-    _, grad = kernels.mle_nll_grad(theta, forms, counts, totals, dim, 1e-12)
+    _, grad, _ = kernels.mle_nll_grad(theta, forms, counts, totals, dim, 1e-12)
     eps = 1e-6
     for k in range(len(theta)):
         tp, tm = theta.copy(), theta.copy()
         tp[k] += eps
         tm[k] -= eps
-        vp, _ = kernels.mle_nll_grad(tp, forms, counts, totals, dim, 1e-12)
-        vm, _ = kernels.mle_nll_grad(tm, forms, counts, totals, dim, 1e-12)
+        vp, _, _ = kernels.mle_nll_grad(tp, forms, counts, totals, dim, 1e-12)
+        vm, _, _ = kernels.mle_nll_grad(tm, forms, counts, totals, dim, 1e-12)
         fd = (vp - vm) / (2 * eps)
         assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-4)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_mle_hessian_matches_finite_differences(dim, rng):
+    # one outcome with a zero count, and one whose probability sits below the floor: the last
+    # projector is |dim-1><dim-1|, which T^T T misses while T's last diagonal entry is 0 (and stays
+    # below the floor at +-eps, since |theta| = 3)
+    theta, projs, counts, totals = _random_mle_problem(rng, dim)
+    projs[-1] = np.zeros((dim, dim))
+    projs[-1][-1, -1] = 1.0
+    theta[dim - 1] = 0.0
+    theta *= 3.0 / np.linalg.norm(theta)
+    counts[0] = 0.0
+    forms = kernels.quadratic_forms(projs, dim)
+    floor = 1e-12
+    assert theta @ forms[-2] @ theta == 0.0
+    _, _, hess = kernels.mle_nll_grad(theta, forms, counts, totals, dim, floor)
+    eps = 1e-6
+    fd = np.empty_like(hess)
+    for k in range(len(theta)):
+        tp, tm = theta.copy(), theta.copy()
+        tp[k] += eps
+        tm[k] -= eps
+        fd[:, k] = (kernels.mle_nll_grad(tp, forms, counts, totals, dim, floor)[1]
+                    - kernels.mle_nll_grad(tm, forms, counts, totals, dim, floor)[1]) / (2 * eps)
+    np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-6 * np.abs(hess).max())
 
 
 def test_rho_from_params_physical(rng):
@@ -125,14 +151,16 @@ def test_params_from_rho_round_trips_full_rank_states(dim, rng):
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_mle_projector_matrix_equals_stack(dim, rng):
-    # the reconstruction builds its forms from flattened (K, dim**2) rows; the value and the gradient match
-    # those from the stack
+    # the reconstruction builds its forms from flattened (K, dim**2) rows; the value, the gradient and
+    # the Hessian match those from the stack
     theta, projs, counts, totals = _random_mle_problem(rng, dim)
-    v_stack, g_stack = kernels.mle_nll_grad(theta, kernels.quadratic_forms(projs, dim), counts, totals, dim, 1e-12)
+    v_stack, g_stack, h_stack = kernels.mle_nll_grad(theta, kernels.quadratic_forms(projs, dim), counts, totals,
+                                                     dim, 1e-12)
     rows = kernels.quadratic_forms(projs.reshape(len(projs), -1), dim)
-    v_rows, g_rows = kernels.mle_nll_grad(theta, rows, counts, totals, dim, 1e-12)
+    v_rows, g_rows, h_rows = kernels.mle_nll_grad(theta, rows, counts, totals, dim, 1e-12)
     assert v_rows == v_stack
     assert np.array_equal(g_rows, g_stack)
+    assert np.array_equal(h_rows, h_stack)
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -141,8 +169,9 @@ def test_mle_batch_rows_equal_single_calls(dim, rng):
     problems = [_random_mle_problem(rng, dim) for _ in range(3)]
     forms = kernels.quadratic_forms(problems[0][1], dim)
     theta, counts, totals = (np.array([p[i] for p in problems]) for i in (0, 2, 3))
-    values, grads = kernels.mle_nll_grad(theta, forms, counts, totals, dim, 1e-12)
+    values, grads, hessians = kernels.mle_nll_grad(theta, forms, counts, totals, dim, 1e-12)
     for b in range(3):
-        value, grad = kernels.mle_nll_grad(theta[b:b + 1], forms, counts[b:b + 1], totals[b:b + 1], dim, 1e-12)
+        value, grad, hess = kernels.mle_nll_grad(theta[b:b + 1], forms, counts[b:b + 1], totals[b:b + 1], dim, 1e-12)
         assert values[b] == value[0]
         assert np.array_equal(grads[b], grad[0])
+        assert np.array_equal(hessians[b], hess[0])

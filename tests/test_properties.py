@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rechip import experiments
+from rechip import experiments, numerics, tomography
+from rechip.calibration import CalibrationError, HeaterCurve, fit_fringe
 from rechip.chip import BASIS_LABELS, PhaseConfig, coincidence_probs, phase_batch, wrap_phases
 from rechip.noise import CountRecord, NoiseModel, apply_phase_noise, expected_counts, spawn
 from rechip.tomography import (canonical_settings, check_density, mle_reconstruct, mle_reconstruct_batch,
-                               statistical_fidelity)
+                               sample_hs_random, simulate_counts, statistical_fidelity)
 
 # a count is zero, small or large; a setting may also be left out entirely (all its counts zero)
 COUNT = st.one_of(st.just(0), st.integers(0, 30), st.integers(0, 10**6))
@@ -68,11 +69,56 @@ def test_batched_fit_equals_fit_alone(qubits, data):
         assert np.array_equal(via_records.rho, alone.rho)
 
 
+SEED = st.integers(0, 2**64 - 1)
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+@given(seed=SEED, log_pairs=st.floats(2.0, 6.0))
+def test_fit_beats_its_start_and_is_stationary(qubits, seed, log_pairs):
+    """A fit of Poisson counts of a Hilbert-Schmidt random state converges below the negative
+    log-likelihood of its linear-inversion start, and its gradient orthogonal to theta (the part that
+    moves rho) passes the solver's stationarity test at GTOL."""
+    rng = np.random.default_rng(seed)
+    settings = tuple(canonical_settings(qubits))
+    dim = 2**qubits
+    expected = [r.counts(dim) for r in simulate_counts(settings, sample_hs_random(dim, rng), 10**log_pairs)]
+    counts = rng.poisson(expected)[None]
+    if counts.sum() == 0:
+        return
+    fit = mle_reconstruct_batch(settings, counts)[0]
+    assert fit.converged, fit.message
+    n, totals = tomography._count_arrays(settings, counts)
+    forms = tomography._forms(settings)
+    start, _, _ = tomography._nll(tomography.linear_inversion_start(settings, n, totals), forms, n, totals, dim)
+    f, g, h = tomography._nll(fit.params[None], forms, n, totals, dim)
+    assert -fit.log_likelihood == f[0] <= start[0]
+    theta = fit.params
+    g_perp = g[0] - (g[0] @ theta) / (theta @ theta) * theta
+    assert np.all(g_perp**2 <= numerics.GTOL**2 * 2.0 * max(abs(f[0]), 1.0) * np.abs(h[0].diagonal()))
+
+
+@given(seed=SEED, a0=st.floats(0.0, 1.0), a2=st.floats(0.1, 0.5), a3=st.floats(-0.01, 0.01),
+       a4=st.floats(-5e-4, 5e-4), log_pairs=st.floats(2.0, 5.0))
+def test_fringe_fit_stays_in_its_box(seed, a0, a2, a3, a4, log_pairs):
+    """A fringe fit of Poisson counts along a monotone curve keeps A >= 0, 0 <= C <= 1, |a0| <= 2 pi and a2 >= 0."""
+    curve = HeaterCurve(a0, a2, a3, a4)
+    if not curve.is_monotone():
+        return
+    scan = experiments.fringe_scan(1, np.linspace(0.0, 7.0, 120), curve, NoiseModel(mean_pairs=10**log_pairs),
+                                   np.random.default_rng(seed))
+    try:
+        fit = fit_fringe(scan.samples(0))
+    except CalibrationError:
+        return
+    assert fit.amplitude >= 0.0
+    assert 0.0 <= fit.contrast <= 1.0
+    assert abs(fit.curve.a0) <= 2 * np.pi
+    assert fit.curve.a2 >= 0.0
+
+
 # The manifold and the suites draw every row from its own generator, as does a benchmark run without one.
 # Each property below pins a per-row draw, and the state it leaves each generator in, bit for bit to a
 # reference that makes numpy's per-row array call.
-
-SEED = st.integers(0, 2**64 - 1)
 # an expected count is zero, tiny (subnormals included), below or above numpy's Poisson switch at 10
 LAMBDA = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 10.0, exclude_max=True),
                    st.floats(10.0, 1e7))

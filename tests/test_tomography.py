@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rechip import kernels, tomography
+from rechip import kernels, numerics, tomography
 from rechip.noise import CountRecord
 from rechip.tomography import (
     MeasurementSetting,
@@ -251,10 +251,18 @@ class TestMle:
 
     def test_converged_is_the_optimizer_status(self, monkeypatch):
         # a fit stopped by the iteration limit reports it
-        monkeypatch.setattr(tomography, "MAX_ITER", 3)
+        monkeypatch.setattr(numerics, "MAX_ITER", 3)
         result = mle_reconstruct(canonical_settings(2), simulate_counts(canonical_settings(2), BELL, 1e4))
         assert (result.converged, result.iterations) == (False, 3)
-        assert result.message == tomography.STOP_MESSAGES[3] == "stopped: iteration limit MAX_ITER"
+        assert result.message == numerics.STOP_MESSAGES[3] == "stopped: iteration limit MAX_ITER"
+        check_density(result.rho)
+
+    def test_a_stop_short_of_stationary_is_not_converged(self, monkeypatch):
+        # with no gradient tolerance left, a fit whose f stopped falling cannot certify a stationary point
+        monkeypatch.setattr(numerics, "GTOL", 0.0)
+        result = mle_reconstruct(canonical_settings(2), simulate_counts(canonical_settings(2), BELL, 1e4))
+        assert not result.converged
+        assert result.message == numerics.STOP_MESSAGES[2] == "stopped: f no longer falls, scaled gradient above GTOL"
         check_density(result.rho)
 
 
