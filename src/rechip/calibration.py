@@ -124,7 +124,7 @@ def fit_fringe(samples):
     the extreme counts, a3 = a4 = 0), as one (starts, 6) array program.  The
     bounds are A >= 0, 0 <= C <= 1, |a0| <= 2 pi and a2 >= 0.  Starts that
     stay far behind the best are pruned, and the lowest-cost start wins (the
-    first on a tie).
+    first on a tie).  Its a0 is reported in [-pi, pi).
 
     Raises
     ------
@@ -146,6 +146,7 @@ def fit_fringe(samples):
     if status[best] not in CONVERGED:
         raise CalibrationError(f"fringe fit did not converge: {STOP_MESSAGES[status[best]]}")
     amp, contrast, a0, a2, a3, a4 = x[best]
+    a0 -= 2 * np.pi * np.floor((a0 + np.pi) / (2 * np.pi))  # cos^2(phi/2) has period 2 pi; [-pi, pi) stays put
     curve = HeaterCurve(a0, a2, a3, a4)
     rms = float(np.sqrt(np.mean((fringe_model(amp, contrast, curve, volts) - counts) ** 2)))
     if amp <= 0 or rms > 0.1 * amp:

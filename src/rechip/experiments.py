@@ -6,17 +6,18 @@ model runs once per batch: a driver evaluates its configurations as one
 array program, chunk by contiguous chunk in order (at most 256 items each),
 and its results do not depend on how a sweep is split into chunks.
 
-Random streams.  A sampled ``random_config_benchmark`` spawns one child
-generator per block of ``STREAM_BLOCK`` rows (``Generator.spawn``).  A
-block of m rows draws each quantity with one array call, in order: its
-configurations ``g.random((m, 8)) * 2*pi``, their phase errors
-``sigma * g.standard_normal((m, 8))``, then its counts ``g.poisson(lam)``,
-chunk by chunk.  An exact run draws only the configurations, and a run
-without a generator takes row i's from ``default_rng(i)``.  The CHSH
-manifold and the tomography suites spawn one child per task instead
-(``noise.spawn``, the children ``Generator.spawn`` gives, hashed for all
-parents at once), and each task draws its configuration's jitter and counts
-from its own child.
+Random streams.  A sampled driver gives each task one child generator from
+``rng.spawn(n)``, and the child draws each of the task's quantities with one
+array call, in this order: configurations (the benchmark only), phase
+errors ``sigma * g.standard_normal((m, 8))`` for the task's m device rows,
+counts ``g.poisson(lam)`` of shape (m, outcomes), then Poisson resamples.
+A task is a block of ``STREAM_BLOCK`` rows of ``random_config_benchmark``
+(configurations ``g.random((m, 8)) * 2*pi``), a CHSH grid point (its four
+settings, then ``g.poisson(counts, (mc_trials, 4, 4))``) or a suite target
+(its settings, then the resamples of ``monte_carlo_error``).  A block's
+counts are drawn chunk by chunk, the same numbers as one call.  An exact
+run draws only the benchmark's configurations, and a benchmark without a
+generator draws them as a run given ``default_rng(0)`` does.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +42,6 @@ from .noise import (
     hom_dip_curve,
     hom_visibility,
     mix_statistics,
-    spawn,
 )
 from .tomography import (
     canonical_settings,
@@ -63,7 +63,7 @@ SCHEMA = 1  # version of every report document
 NOISELESS = NoiseModel.noiseless()
 
 _MAX_CHUNK = 256  # items per batch: bounds the device model's memory on large sweeps
-STREAM_BLOCK = 256  # rows per child generator of a sampled random_config_benchmark
+STREAM_BLOCK = 256  # rows per child generator of random_config_benchmark
 
 
 def _run_chunked(fn, n):
@@ -119,9 +119,10 @@ def device_probs(config, noise, rng, input_state="00"):
     Applies per-setting phase jitter (when an rng is given), runs the
     two-photon waveguide model and blends in the distinguishable-photon
     statistics with weight 1 - v.  For an (N, 8) batch of configurations,
-    rng is None, one generator for the whole batch or a sequence of N
-    generators, one per row (see apply_phase_noise); the netlist is composed
-    once for the whole batch and feeds both photon models.
+    rng is None, one generator for the whole batch or a sequence of K
+    generators for K equal groups of consecutive rows (see
+    apply_phase_noise); the netlist is composed once for the whole batch and
+    feeds both photon models.
     """
     if rng is not None and noise.phase_sigma > 0:
         config = apply_phase_noise(config, noise.phase_sigma, rng)
@@ -135,15 +136,13 @@ def device_probs(config, noise, rng, input_state="00"):
 
 
 def _outcome_counts(p, noise, rngs):
-    """Expected counts for (N, outcomes) probabilities, or Poisson draws with row k from rngs[k].
-
-    A row draws one scalar per outcome, in order: the same numbers as g.poisson(row), which
-    samples element by element, without numpy's per-array argument checks.
-    """
+    """Expected counts for (N, outcomes) probabilities, or Poisson draws: rngs holds K generators
+    for K equal groups of consecutive rows, and each draws its group's counts as one g.poisson call."""
     lam = expected_counts(p, noise)
     if rngs is None:
         return lam
-    return np.array([[g.poisson(x) for x in row] for g, row in zip(rngs, lam.tolist())], dtype=float)
+    groups = lam.reshape(len(rngs), -1, lam.shape[-1])
+    return np.array([g.poisson(x) for g, x in zip(rngs, groups)], dtype=float).reshape(lam.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +182,6 @@ class BenchmarkReport(_FidelityStats):
         }
 
 
-def _random_configs(rngs):
-    """Eight phases uniform on [0, 2*pi) per generator: the draws of g.uniform(0, 2*pi, 8), bit for bit."""
-    return np.array([g.random(8) for g in rngs]) * TWO_PI
-
-
 def random_config_benchmark(n=995, noise=NOISELESS, rng=None, exact=False):
     """Statistical fidelity between simulated and ideal coincidence statistics
     over n configurations drawn uniformly from [0, 2*pi)^8.
@@ -198,26 +192,22 @@ def random_config_benchmark(n=995, noise=NOISELESS, rng=None, exact=False):
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    children = None if rng is None else rng.spawn(-(-n // STREAM_BLOCK))
+    exact = exact or rng is None
+    children = (np.random.default_rng(0) if rng is None else rng).spawn(-(-n // STREAM_BLOCK))
     fidelities = []
-    for block, lo in enumerate(range(0, n, STREAM_BLOCK)):
-        rows = min(STREAM_BLOCK, n - lo)
-        if children is None:
-            configs = _random_configs([np.random.default_rng(i) for i in range(lo, lo + rows)])
-        else:
-            configs = children[block].random((rows, 8)) * TWO_PI
-        g = None if exact or children is None else children[block]
-        noisy = configs if g is None else apply_phase_noise(configs, noise.phase_sigma, g)
-        fidelities.append(_run_chunked(lambda i, j: _benchmark_rows(configs[i:j], noisy[i:j], noise, g), rows))
+    for g, lo in zip(children, range(0, n, STREAM_BLOCK)):
+        configs = g.random((min(STREAM_BLOCK, n - lo), 8)) * TWO_PI
+        noisy = configs if exact else apply_phase_noise(configs, noise.phase_sigma, g)
+        rngs = None if exact else [g]
+        fidelities.append(_run_chunked(lambda i, j: _benchmark_rows(configs[i:j], noisy[i:j], noise, rngs),
+                                       len(configs)))
     return BenchmarkReport(np.concatenate(fidelities))
 
 
-def _benchmark_rows(configs, noisy, noise, g):
-    """Fidelities of rows whose device runs at the noisy phases, with counts drawn from g (or expected)."""
+def _benchmark_rows(configs, noisy, noise, rngs):
+    """Fidelities of rows whose device runs at the noisy phases, with counts drawn from rngs (or expected)."""
     theory = coincidence_probs(configs, "00", model="gate")
-    counts = expected_counts(device_probs(noisy, noise, None).as_array(), noise)
-    if g is not None:
-        counts = g.poisson(counts)
+    counts = _outcome_counts(device_probs(noisy, noise, None).as_array(), noise, rngs)
     total = counts.sum(axis=-1)
     fidelity = statistical_fidelity(counts / np.where(total > 0, total, 1.0)[:, None], theory)
     return np.where(total > 0, fidelity, 0.0)
@@ -266,26 +256,25 @@ class SuiteReport(_FidelityStats):
 def tomography_records(prep, noise, rng, qubits=2):
     """Settings and simulated (preparations, settings, outcomes) whole counts for prepared states.
 
-    rng is None (exact) or one generator per preparation, which spawns one
-    child per setting, so a preparation's counts do not depend on the others;
-    every setting of every preparation runs as one batch.  Single-qubit
-    tomography analyses qubit A (its own measurement stage) and marginalises
-    over qubit B's outcome.  A single PhaseConfig (rng None or a generator)
+    rng is None (exact) or one generator per preparation, which draws the
+    phase errors and then the counts of all its settings, so a preparation's
+    counts do not depend on the others; every setting of every preparation
+    runs as one batch.  Single-qubit tomography analyses qubit A (its own
+    measurement stage) and marginalises over qubit B's outcome.  A single PhaseConfig (rng None or a generator)
     gets one CountRecord per setting instead: the rows of a counts file.
     """
     if isinstance(prep, PhaseConfig):
         settings, counts = tomography_records([prep], noise, None if rng is None else [rng], qubits)
         return settings, [CountRecord.from_counts(s.label, c) for s, c in zip(settings, counts[0])]
     settings = canonical_settings(qubits)
-    children = None if rng is None else spawn(rng, len(settings))
     # preparation phases phi1..phi4 on each row, each setting's analysis angles after them
     phis = np.zeros((len(prep), len(settings), 8))
     phis[..., :4] = np.array([p.phis[:4] for p in prep])[:, None]
     phis[..., 4:4 + 2 * qubits] = [np.ravel(s.angles) for s in settings]
-    probs = device_probs(phis.reshape(-1, 8), noise, children).as_array()
+    probs = device_probs(phis.reshape(-1, 8), noise, rng).as_array()
     if qubits == 1:
         probs = np.stack([probs[:, 0] + probs[:, 1], probs[:, 2] + probs[:, 3]], axis=-1)
-    counts = np.rint(_outcome_counts(probs, noise, children))
+    counts = np.rint(_outcome_counts(probs, noise, rng))
     return settings, counts.reshape(len(prep), len(settings), -1)
 
 
@@ -351,7 +340,7 @@ def bell_state_suite(noise=NOISELESS, rng=None, mc_trials=25):
     _check_mc_trials(mc_trials)
     targets = bell_targets()
     names = list(BELL_PREPS)
-    children = None if rng is None else spawn([rng], len(names))
+    children = None if rng is None else rng.spawn(len(names))
     preps = [PhaseConfig(list(BELL_PREPS[name]) + [0.0] * 4) for name in names]
     settings, counts = tomography_records(preps, noise, children, qubits=2)
 
@@ -404,14 +393,13 @@ def _chsh_of_counts(counts):
 def _chsh_points(alphas, betas, noise, rngs, mc_trials):
     """S and its resampled std at points (alphas[k], betas[k]) as one batch of 4 settings each.
 
-    rngs is None (exact) or one generator per point; a point's four settings
-    draw from children spawned off it, its resamples from the generator itself.
+    rngs is None (exact) or one generator per point, which draws its four
+    settings' phase errors, then their counts, then its resamples.
     """
     configs = _chsh_phases(alphas, betas)
-    children = None if rngs is None else spawn(rngs, 4)
-    probs = device_probs(configs, noise, children).as_array()
+    probs = device_probs(configs, noise, rngs).as_array()
     # exact: expected_counts' accidentals without its mean_pairs scale, which S does not depend on
-    counts = probs + noise.accidental_fraction / 4 if rngs is None else _outcome_counts(probs, noise, children)
+    counts = probs + noise.accidental_fraction / 4 if rngs is None else _outcome_counts(probs, noise, rngs)
     counts = counts.reshape(len(alphas), 4, 4)
     s = _chsh_of_counts(counts)
     if mc_trials < 2 or rngs is None:
@@ -467,7 +455,7 @@ def chsh_manifold(step=DEFAULT_MANIFOLD_STEP, noise=NOISELESS, rng=None, mc_tria
     _check_mc_trials(mc_trials)
     axis = np.arange(npts) * step
     rows, cols = np.divmod(np.arange(npts * npts), npts)
-    children = None if rng is None else spawn([rng], npts * npts)
+    children = None if rng is None else rng.spawn(npts * npts)
 
     def chunk(lo, hi):
         rngs = None if children is None else children[lo:hi]
@@ -594,7 +582,7 @@ def mixed_state_suite(targets=None, n=119, noise=NOISELESS, rng=None, mc_trials=
     targets = [np.asarray(t, dtype=float) for t in targets]
     if not targets:
         raise ValueError("at least one target is required, got none")
-    children = None if rng is None else spawn([rng], len(targets))
+    children = None if rng is None else rng.spawn(len(targets))
     preps = [prep_config(solve_mixed_prep(r)) for r in targets]
     settings, counts = tomography_records(preps, noise, children, qubits=1)
 

@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 
@@ -145,21 +146,33 @@ REFERENCE_FITS = json.loads(
     (Path(__file__).parent / "data" / "fringe_reference_fits.json").read_text())["cases"]
 
 
-@pytest.mark.parametrize("case", REFERENCE_FITS, ids=[c["label"] for c in REFERENCE_FITS])
-def test_reference_fits(case):
+@functools.lru_cache(maxsize=None)
+def _reference_fit(index):
+    case = REFERENCE_FITS[index]
+    return fit_fringe(np.column_stack([np.linspace(*case["volts"]), np.array(case["counts"])]))
+
+
+@pytest.mark.parametrize("index", range(len(REFERENCE_FITS)), ids=[c["label"] for c in REFERENCE_FITS])
+def test_reference_fits(index):
     """The fit reaches the recorded winning start's optimum (see the file's "about").
 
     A and C match the polished optimum to 1e-6 and the parent's finite-difference
     fit to 1e-5.  The rms is no worse than the parent's, up to 1e-9 of it plus a
     rounding floor of 1e-15 A, where a noiseless fringe's rms sits.
     """
-    counts = np.array(case["counts"])
-    fit = fit_fringe(np.column_stack([np.linspace(*case["volts"]), counts]))
+    case, fit = REFERENCE_FITS[index], _reference_fit(index)
     assert fit.amplitude == pytest.approx(case["optimum"]["A"], rel=1e-6)
     assert fit.contrast == pytest.approx(case["optimum"]["C"], rel=1e-6)
     assert fit.amplitude == pytest.approx(case["A"], rel=1e-5)
     assert fit.contrast == pytest.approx(case["C"], rel=1e-5)
     assert fit.rms_residual <= case["rms"] * (1.0 + 1e-9) + 1e-15 * case["A"]
+
+
+def test_reference_fits_report_a0_in_one_period():
+    """The fringe has period 2 pi in a0: every reference fit reports a0 in [-pi, pi), at the recorded a0 to 1e-3."""
+    a0 = np.array([_reference_fit(k).curve.a0 for k in range(len(REFERENCE_FITS))])
+    assert np.all((-np.pi <= a0) & (a0 < np.pi))
+    assert np.max(np.abs(a0 - [case["a0"] for case in REFERENCE_FITS])) <= 1e-3
 
 
 @pytest.mark.parametrize("seed", [2, 17, 19])

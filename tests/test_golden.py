@@ -1,16 +1,19 @@
 """Seeded CLI outputs stay byte-identical.
 
 The files under data/golden/ are the full --output reports of small seeded
-device-model runs: the exact benchmark and sampled-manifold files were
-recorded before the device model was batched, the seeded benchmark file when
-it moved to one generator per block of rows, the exact-manifold CSV, HOM-dip
-and verify-chip files before every report went through one writer, the Bell
-and mixed-state suite files when the maximum-likelihood fit moved from BFGS
-to damped Newton steps with the exact Hessian (its fits stop nearer the
-optimum, which moved the suites' last digits).  A change that moves any byte of them changes seeded results
-and must say so.  The last digits depend on the platform's floating-point
-kernels (numpy's SIMD loops and BLAS), so a mismatch on a different machine
-is not by itself a defect.
+device-model runs.  The exact-manifold JSON was recorded before the device
+model was batched, the seeded benchmark file when it moved to one generator
+per block of rows, and the exact-manifold CSV, HOM-dip and verify-chip files
+before every report went through one writer.  The exact glyph suite was
+recorded when the maximum-likelihood fit moved from BFGS to damped Newton
+steps with the exact Hessian.  The sampled manifold, the seeded Bell and
+glyph suites and the exact benchmark were recorded when every sampled task
+came to draw from one child of Generator.spawn, and a benchmark without a
+generator came to draw its configurations as a run given default_rng(0)
+does.  A change that moves any byte of them changes seeded results and must
+say so.  The last digits depend on the platform's floating-point kernels
+(numpy's SIMD loops and BLAS), so a mismatch on a different machine is not
+by itself a defect.
 """
 
 from pathlib import Path

@@ -120,7 +120,7 @@ class TestMixStatistics:
 
 
 class TestSampleCounts:
-    """The drivers' Poisson count draw, experiments._outcome_counts (one generator per row)."""
+    """The drivers' Poisson count draw, experiments._outcome_counts (one generator per group of rows)."""
 
     def test_zero_pairs(self, rng):
         model = NoiseModel(mean_pairs=0.0)

@@ -11,9 +11,10 @@ from hypothesis import example, given, strategies as st
 from rechip import experiments, numerics, tomography
 from rechip.calibration import CalibrationError, HeaterCurve, fit_fringe
 from rechip.chip import BASIS_LABELS, PhaseConfig, coincidence_probs, phase_batch, wrap_phases
-from rechip.noise import CountRecord, NoiseModel, apply_phase_noise, expected_counts, spawn
-from rechip.tomography import (canonical_settings, check_density, mle_reconstruct, mle_reconstruct_batch,
-                               sample_hs_random, simulate_counts, statistical_fidelity)
+from rechip.noise import CountRecord, NoiseModel, apply_phase_noise, expected_counts
+from rechip.tomography import (bloch_of_rho, canonical_settings, check_density, mle_reconstruct,
+                               mle_reconstruct_batch, quantum_fidelity, rho_of_bloch, sample_hs_random,
+                               simulate_counts, statistical_fidelity)
 
 # a count is zero, small or large; a setting may also be left out entirely (all its counts zero)
 COUNT = st.one_of(st.just(0), st.integers(0, 30), st.integers(0, 10**6))
@@ -116,12 +117,15 @@ def test_fringe_fit_stays_in_its_box(seed, a0, a2, a3, a4, log_pairs):
     assert fit.curve.a2 >= 0.0
 
 
-# The manifold and the suites draw every row from its own generator, as does a benchmark run without one.
-# Each property below pins a per-row draw, and the state it leaves each generator in, bit for bit to a
-# reference that makes numpy's per-row array call.
+# Every sampled driver gives each task one child generator, and the child draws each quantity of the task
+# with one array call: configurations (the benchmark only), phase errors, counts, then resamples (the
+# experiments module docstring).  Each property below pins those draws, and the state they leave each
+# generator in, bit for bit to a replica in plain numpy array calls.
 # an expected count is zero, tiny (subnormals included), below or above numpy's Poisson switch at 10
 LAMBDA = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 10.0, exclude_max=True),
                    st.floats(10.0, 1e7))
+GROUPS = st.integers(1, 6)  # generators of a batch
+PER_GROUP = st.integers(1, 5)  # consecutive rows each generator draws for
 
 
 def _twin_generators(seed, n):
@@ -132,58 +136,96 @@ def _same_states(rngs, twins):
     return all(g.bit_generator.state == t.bit_generator.state for g, t in zip(rngs, twins))
 
 
-@given(seed=SEED, outcomes=st.sampled_from([2, 4]), data=st.data())
-def test_outcome_counts_draw_the_array_poisson_stream(seed, outcomes, data):
+class _RecordingGenerator(np.random.Generator):
+    """A generator that keeps the children it spawns (Generator.spawn makes them of its own type)."""
+
+    def spawn(self, n_children):
+        self.children = super().spawn(n_children)
+        return self.children
+
+
+@given(seed=SEED, outcomes=st.sampled_from([2, 4]), groups=GROUPS, per_group=PER_GROUP, data=st.data())
+def test_outcome_counts_draw_the_array_poisson_stream(seed, outcomes, groups, per_group, data):
     lam = np.array(data.draw(st.lists(st.lists(LAMBDA, min_size=outcomes, max_size=outcomes),
-                                      min_size=1, max_size=20)))
-    rngs, twins = _twin_generators(seed, len(lam))
+                                      min_size=groups * per_group, max_size=groups * per_group)))
+    rngs, twins = _twin_generators(seed, groups)
     unit = NoiseModel(mean_pairs=1.0, accidental_fraction=0.0)  # expected counts equal lam exactly
     counts = experiments._outcome_counts(lam, unit, rngs)
-    expected = np.array([g.poisson(row) for g, row in zip(twins, lam)], dtype=float)
+    parts = np.split(lam, groups)
+    expected = np.concatenate([g.poisson(part) for g, part in zip(twins, parts)]).astype(float)
     assert np.array_equal(counts, expected)
     assert _same_states(rngs, twins)
 
 
-@given(seed=SEED, sigma=st.floats(0.0, 1e300), rows=st.integers(1, 12), single=st.booleans())
-def test_phase_noise_draws_the_normal_stream(seed, sigma, rows, single):
-    phases = np.random.default_rng(seed ^ 1).random((rows, 8)) * experiments.TWO_PI
+@given(seed=SEED, sigma=st.floats(0.0, 1e300), groups=GROUPS, per_group=PER_GROUP, single=st.booleans())
+def test_phase_noise_draws_the_normal_stream(seed, sigma, groups, per_group, single):
+    """A PhaseConfig draws from one generator; a batch draws one (rows, 8) array per group of rows."""
+    groups, per_group = (1, 1) if single else (groups, per_group)
+    phases = np.random.default_rng(seed ^ 1).random((groups * per_group, 8)) * experiments.TWO_PI
     config = PhaseConfig(phases[0]) if single else phases
-    rngs, twins = _twin_generators(seed, 1 if single else rows)
+    rngs, twins = _twin_generators(seed, groups)
     noisy = apply_phase_noise(config, sigma, rngs[0] if single else rngs)
-    if sigma == 0.0:
-        expected = phase_batch(config)
-    else:
-        expected = wrap_phases(phase_batch(config) + np.array([g.normal(0.0, sigma, size=8) for g in twins]))
+    expected = phase_batch(config)
+    if sigma > 0.0:
+        errors = [g.normal(0.0, sigma, size=(per_group, 8)) for g in twins]
+        expected = wrap_phases(expected + np.concatenate(errors))
     assert np.array_equal(phase_batch(noisy), expected)
     assert isinstance(noisy, PhaseConfig) == single
     assert _same_states(rngs, twins)
 
 
-@given(seed=SEED, rows=st.integers(1, 20))
-def test_benchmark_configs_draw_the_uniform_stream(seed, rows):
-    rngs, twins = _twin_generators(seed, rows)
-    configs = experiments._random_configs(rngs)
-    assert np.array_equal(configs, np.array([g.uniform(0.0, experiments.TWO_PI, 8) for g in twins]))
-    assert _same_states(rngs, twins)
+def test_phase_noise_rejects_unequal_groups():
+    with pytest.raises(ValueError, match="5 rows do not split into 2 equal groups"):
+        apply_phase_noise(np.zeros((5, 8)), 0.1, np.random.default_rng(0).spawn(2))
 
 
 @given(seed=SEED, points=st.integers(1, 6), mc_trials=st.integers(2, 30),
        mean_pairs=st.one_of(st.floats(0.0, 20.0), st.floats(20.0, 1e6)))
 def test_chsh_resample_std_matches_one_std_per_point(seed, points, mc_trials, mean_pairs):
+    """A point's generator draws its four settings' errors, their counts, then its resamples."""
     angles = np.random.default_rng(seed ^ 1).random((2, points)) * experiments.TWO_PI
     noise = NoiseModel(mean_pairs=mean_pairs)
     rngs, twins = _twin_generators(seed, points)
     s, std = experiments._chsh_points(angles[0], angles[1], noise, rngs, mc_trials)
-    # the point estimates first, which draw from children of each point's generator
-    children = [c for g in twins for c in g.spawn(4)]
-    probs = experiments.device_probs(experiments._chsh_phases(*angles), noise, children).as_array()
-    lam = expected_counts(probs, noise)
-    counts = np.array([g.poisson(row) for g, row in zip(children, lam)], dtype=float).reshape(points, 4, 4)
-    resampled = [g.poisson(np.broadcast_to(c, (mc_trials, 4, 4))).astype(float) for g, c in zip(twins, counts)]
-    expected = np.array([np.std(experiments._chsh_of_counts(r), ddof=1) for r in resampled])
-    assert np.array_equal(s, experiments._chsh_of_counts(counts))
+    counts, expected = [], []
+    for g, phases in zip(twins, experiments._chsh_phases(*angles).reshape(points, 4, 8)):
+        noisy = wrap_phases(phases + g.normal(0.0, noise.phase_sigma, size=(4, 8)))
+        lam = expected_counts(experiments.device_probs(noisy, noise, None).as_array(), noise)
+        counts.append(g.poisson(lam).astype(float))
+        resampled = g.poisson(np.broadcast_to(counts[-1], (mc_trials, 4, 4))).astype(float)
+        expected.append(np.std(experiments._chsh_of_counts(resampled), ddof=1))
+    assert np.array_equal(s, experiments._chsh_of_counts(np.array(counts)))
     assert np.array_equal(std, expected)
     assert _same_states(rngs, twins)
+
+
+@given(seed=SEED, n=st.integers(1, 4), mc_trials=st.sampled_from([0, 2, 3]),
+       noise=st.sampled_from([NoiseModel(), NoiseModel(mean_pairs=30.0, accidental_fraction=0.1)]))
+def test_suite_target_draws_errors_counts_then_resamples(seed, n, mc_trials, noise):
+    """A mixed-state target's generator draws its three settings' errors, their counts, then its resamples;
+    its point estimate and resample fits are those of its counts alone."""
+    targets = [bloch_of_rho(sample_hs_random(2, np.random.default_rng(seed ^ k))) for k in range(n)]
+    rng = _RecordingGenerator(np.random.PCG64(seed))
+    report = experiments.mixed_state_suite(targets, noise=noise, rng=rng, mc_trials=mc_trials)
+    settings = canonical_settings(1)
+    twins = np.random.default_rng(seed).spawn(n)
+    for target, entry, g in zip(targets, report.entries, twins):
+        phases = np.zeros((len(settings), 8))
+        phases[:, :4] = experiments.prep_config(experiments.solve_mixed_prep(target)).phis[:4]
+        phases[:, 4:6] = [np.ravel(s.angles) for s in settings]
+        noisy = wrap_phases(phases + g.normal(0.0, noise.phase_sigma, size=phases.shape))
+        p = experiments.device_probs(noisy, noise, None).as_array()
+        counts = np.rint(g.poisson(expected_counts(p[:, [0, 2]] + p[:, [1, 3]], noise)).astype(float))
+        point = mle_reconstruct_batch(settings, counts[None])[0]
+        assert np.array_equal(entry.rho, point.rho)
+        error = 0.0
+        if mc_trials >= 2:
+            resampled = g.poisson(np.broadcast_to(counts, (mc_trials,) + counts.shape)).astype(float)
+            start = np.broadcast_to(point.params, (mc_trials, point.params.size))
+            fits = mle_reconstruct_batch(settings, resampled, start=start)
+            error = np.std(quantum_fidelity(rho_of_bloch(target), np.array([f.rho for f in fits])), ddof=1)
+        assert entry.error == error
+    assert _same_states(rng.children, twins)
 
 
 # A sampled random_config_benchmark draws from one child generator per block of STREAM_BLOCK rows, each
@@ -192,14 +234,6 @@ def test_chsh_resample_std_matches_one_std_per_point(seed, points, mc_trials, me
 
 BLOCK = st.integers(1, 7)  # rows per child generator (experiments.STREAM_BLOCK)
 CHUNK = st.integers(1, 6)  # items per chunk of a sweep (experiments._MAX_CHUNK)
-
-
-class _RecordingGenerator(np.random.Generator):
-    """A generator that keeps the children it spawns (Generator.spawn makes them of its own type)."""
-
-    def spawn(self, n_children):
-        self.children = super().spawn(n_children)
-        return self.children
 
 
 def _block_replica(seed, n, block, noise, exact):
@@ -220,17 +254,18 @@ def _block_replica(seed, n, block, noise, exact):
     return np.concatenate(fidelities), children
 
 
-@given(seed=SEED, n=st.integers(1, 30), block=BLOCK, chunk=CHUNK, exact=st.booleans(),
+@given(seed=st.one_of(st.none(), SEED), n=st.integers(1, 30), block=BLOCK, chunk=CHUNK, exact=st.booleans(),
        noise=st.sampled_from([NoiseModel(), NoiseModel(phase_sigma=0.0), NoiseModel(mean_pairs=3.0)]))
 def test_benchmark_draws_one_stream_per_block(seed, n, block, chunk, exact, noise):
     """Per block: configurations, then (sampled) errors, then counts, each one array call; exact draws only
-    the configurations.  Chunks smaller or larger than a block change nothing."""
-    rng = _RecordingGenerator(np.random.PCG64(seed))
+    the configurations, and a run without a generator (seed None) those of a run given default_rng(0).
+    Chunks smaller or larger than a block change nothing."""
+    rng = None if seed is None else _RecordingGenerator(np.random.PCG64(seed))
     with mock.patch.object(experiments, "STREAM_BLOCK", block), mock.patch.object(experiments, "_MAX_CHUNK", chunk):
         report = experiments.random_config_benchmark(n, noise, rng, exact=exact)
-    fidelities, twins = _block_replica(seed, n, block, noise, exact)
+    fidelities, twins = _block_replica(0 if seed is None else seed, n, block, noise, exact or rng is None)
     assert np.array_equal(report.fidelities, fidelities)
-    assert _same_states(rng.children, twins)
+    assert rng is None or _same_states(rng.children, twins)
 
 
 @given(seed=SEED, sigma=st.floats(0.0, 1e300), rows=st.integers(1, 12), single=st.booleans())
@@ -251,12 +286,12 @@ def test_phase_noise_from_one_generator_draws_one_normal_array(seed, sigma, rows
                                         "correlators come from different states and observables")
 @given(seed=SEED, alpha=st.floats(0.0, experiments.TWO_PI), beta=st.floats(0.0, experiments.TWO_PI),
        sigma=st.floats(0.0, 0.5), v=st.floats(0.0, 1.0), accidental=st.floats(0.0, 10.0))
-@example(seed=29, alpha=4.608, beta=1.676, sigma=0.05, v=0.978, accidental=0.0)  # S = 2.8899
+@example(seed=19, alpha=4.608, beta=1.676, sigma=0.05, v=0.978, accidental=0.0)  # S = 2.8950
 def test_noisy_exact_count_s_obeys_tsirelson(seed, alpha, beta, sigma, v, accidental):
     """S from the expected counts of jittered device rows is at most 2 sqrt(2) for any noise and grid point."""
     noise = NoiseModel(phase_sigma=sigma, indistinguishability=v, accidental_fraction=accidental)
-    children = np.random.default_rng(seed).spawn(4)  # one per setting, as _chsh_points spawns them
-    probs = experiments.device_probs(experiments._chsh_phases([alpha], [beta]), noise, children).as_array()
+    g = np.random.default_rng(seed)  # the point's generator, which draws each setting's eight errors
+    probs = experiments.device_probs(experiments._chsh_phases([alpha], [beta]), noise, g).as_array()
     s = experiments._chsh_of_counts(expected_counts(probs, noise).reshape(1, 4, 4))[0]
     assert abs(s) <= 2 * np.sqrt(2) + 1e-12
 
@@ -273,65 +308,6 @@ def test_device_rows_are_distributions_with_accidentals(n, seed, sigma, v, accid
     lam = expected_counts(p, noise)
     assert np.all(lam >= accidental / 4)
     assert np.max(np.abs(lam.sum(axis=-1) - (1.0 + accidental))) <= 1e-12 * (1.0 + accidental)
-
-
-# noise.spawn derives every child generator of a sweep; Generator.spawn, one parent at a time, is its reference.
-
-# entropy at both ends of one and two words, of more words than the pool holds, a [seed, k] list, fresh entropy
-ENTROPY = st.one_of(st.sampled_from([0, 2**64 - 1]), SEED, st.integers(2**128, 2**200),
-                    st.tuples(SEED, st.integers(0, 1000)).map(list), st.none())
-
-
-def _twin_roots(entropy, make=np.random.PCG64):
-    entropy = np.random.SeedSequence().entropy if entropy is None else entropy
-    return [np.random.Generator(make(np.random.SeedSequence(entropy))) for _ in range(2)]
-
-
-def _same_children(ours, theirs):
-    assert len(ours) == len(theirs)
-    assert _same_states(ours, theirs)
-    assert all(type(g) is type(t) and type(g.bit_generator) is type(t.bit_generator) for g, t in zip(ours, theirs))
-    pairs = [(g.bit_generator.seed_seq, t.bit_generator.seed_seq) for g, t in zip(ours, theirs)]
-    assert all(a.spawn_key == b.spawn_key and np.array_equal(a.pool, b.pool) for a, b in pairs)
-
-
-@given(entropy=ENTROPY, keyed=st.booleans(), n=st.integers(1, 40), depth=st.integers(1, 3))
-def test_spawn_is_generator_spawn(entropy, keyed, n, depth):
-    """Children to depth 3 equal Generator.spawn's, and a second spawn from the same parents does too."""
-    ours, theirs = ([g] for g in _twin_roots(entropy))
-    if keyed:  # parents that are themselves spawned
-        ours, theirs = ours[0].spawn(3), theirs[0].spawn(3)
-    for _ in range(depth):
-        ours, theirs = ours[:1] + ours[-1:], theirs[:1] + theirs[-1:]  # at most two parents per level
-        first = spawn(ours, n)
-        reference = [c for g in theirs for c in g.spawn(n)]
-        _same_children(first, reference)
-        _same_children(spawn(ours, n), [c for g in theirs for c in g.spawn(n)])
-        assert _same_states(ours, theirs)
-        ours, theirs = first, reference
-
-
-@given(entropy=ENTROPY, n=st.integers(1, 8))
-def test_spawn_keeps_the_bit_generator_type(entropy, n):
-    ours, theirs = _twin_roots(entropy, np.random.MT19937)
-    children, reference = spawn([ours], n), theirs.spawn(n)
-    assert all(type(c.bit_generator) is np.random.MT19937 for c in children)
-    assert [repr(c.bit_generator.state) for c in children] == [repr(c.bit_generator.state) for c in reference]
-    assert [c.random() for c in spawn(children, 2)] == [c.random() for g in reference for c in g.spawn(2)]
-
-
-@given(seed=SEED, n=st.integers(1, 8))
-def test_spawn_falls_back_to_numpy_for_other_pools(seed, n):
-    """A pool of 8 words goes through SeedSequence.spawn, in its place among the parents; so does a repeated parent."""
-    def parents():
-        big = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, pool_size=8)))
-        return [big, np.random.default_rng(seed)]
-
-    ours, theirs = parents(), parents()
-    children = spawn(ours, n)
-    _same_children(children, [c for g in theirs for c in g.spawn(n)])
-    assert all(type(c.bit_generator.seed_seq) is np.random.SeedSequence for c in children[:n])
-    _same_children(spawn(ours[1:] * 2, n), [c for g in theirs[1:] * 2 for c in g.spawn(n)])
 
 
 def _report_bytes(report):
@@ -363,3 +339,14 @@ def test_manifold_does_not_depend_on_jobs(seed, side, mc_trials, chunk, other):
         step, NoiseModel(), np.random.default_rng(seed), mc_trials), (chunk, other))
     assert runs[0].s.shape == (side, side)
     assert _report_bytes(runs[0]) == _report_bytes(runs[1])
+
+
+@given(seed=SEED, n=st.integers(1, 5), mc_trials=st.sampled_from([0, 2, 3]), data=st.data())
+def test_suite_prefix_is_the_suite_of_the_prefix(seed, n, mc_trials, data):
+    """The first j entries of mixed_state_suite(targets=T) are mixed_state_suite(targets=T[:j]), bit for bit."""
+    j = data.draw(st.integers(1, n))
+    targets = [bloch_of_rho(sample_hs_random(2, np.random.default_rng(seed ^ k))) for k in range(n)]
+    whole, prefix = (experiments.mixed_state_suite(t, noise=NoiseModel(), rng=np.random.default_rng(seed),
+                                                   mc_trials=mc_trials) for t in (targets, targets[:j]))
+    assert json.dumps(whole.to_dict()["entries"][:j]) == json.dumps(prefix.to_dict()["entries"])
+    assert [e.fits_not_converged for e in whole.entries[:j]] == [e.fits_not_converged for e in prefix.entries]
