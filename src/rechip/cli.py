@@ -156,7 +156,8 @@ def build_parser():
 
     p = subs.add_parser("benchmark-random", help="random-configuration fidelity benchmark")
     _add_options(p, csv=True, sampling=True, jobs=True)
-    p.add_argument("--n", type=int, default=995)
+    p.add_argument("--n", type=int, default=995,
+                   help=f"configurations, 1 to {experiments.MAX_BENCHMARK_N}")
 
     p = subs.add_parser("bell-suite", help="prepare and tomograph the four Bell states")
     _add_options(p, sampling=True, jobs=True)
@@ -172,8 +173,10 @@ def build_parser():
 
     p = subs.add_parser("mixed-suite", help="generate and tomograph mixed qubit-A states")
     _add_options(p, sampling=True, jobs=True)
-    p.add_argument("--n", type=int, default=119)
-    p.add_argument("--targets", default=None, help="Bloch-target CSV (header rx,ry,rz)")
+    p.add_argument("--n", type=int, default=119,
+                   help=f"random targets to draw, 1 to {experiments.MAX_SUITE_TARGETS}")
+    p.add_argument("--targets", default=None,
+                   help=f"Bloch-target CSV (header rx,ry,rz), at most {experiments.MAX_SUITE_TARGETS} rows")
     p.add_argument("--glyph", action="store_true", help="use the bundled psi-glyph targets")
     p.add_argument("--mc-trials", type=int, default=0)
 
@@ -181,7 +184,7 @@ def build_parser():
     _add_options(p, csv=True, sampling=True, device_noise=False)
     p.add_argument("--delay-max", type=float, default=1600.0,
                    help="scan half-width in fs (positive and finite)")
-    p.add_argument("--points", type=int, default=81)
+    p.add_argument("--points", type=int, default=81, help="delays in the scan (at least 1)")
 
     p = subs.add_parser("fringe-fit", help="fit a heater fringe CSV (voltage,counts)")
     _add_options(p)
@@ -305,6 +308,8 @@ def cmd_mixed_suite(args):
 def cmd_hom_dip(args):
     if not 0 < args.delay_max < np.inf:
         raise ValueError(f"--delay-max must be a positive finite number, got {args.delay_max}")
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     rng = _rng_from_args(args)
     delays = np.linspace(-args.delay_max, args.delay_max, args.points)
     scan = experiments.hom_scan(delays, noise=_noise_from_args(args), rng=rng)

@@ -1,23 +1,25 @@
 """End-to-end experiment drivers built on the chip, noise and tomography layers.
 
 Each driver accepts a NoiseModel and a ``numpy.random.Generator`` (or runs
-exactly, probability-level, when the generator is omitted).  The device
-model runs once per batch: a driver evaluates its configurations as one
-array program, chunk by contiguous chunk in order (at most 256 items each),
-and its results do not depend on how a sweep is split into chunks.
+exactly, probability-level, when the generator is omitted).  Below the
+drivers, the device model passes arrays: ``device_probs`` takes (N, 8)
+phases and returns (N, 4) probabilities, and it is the one place that
+applies phase jitter.  The benchmark and the CHSH grid run in blocks of
+``BLOCK`` rows or grid points, one batch each, in order; a grid's results
+do not depend on the block size.
 
 Random streams.  A sampled driver gives each task one child generator from
 ``rng.spawn(n)``, and the child draws each of the task's quantities with one
 array call, in this order: configurations (the benchmark only), phase
 errors ``sigma * g.standard_normal((m, 8))`` for the task's m device rows,
 counts ``g.poisson(lam)`` of shape (m, outcomes), then Poisson resamples.
-A task is a block of ``STREAM_BLOCK`` rows of ``random_config_benchmark``
-(configurations ``g.random((m, 8)) * 2*pi``), a CHSH grid point (its four
-settings, then ``g.poisson(counts, (mc_trials, 4, 4))``) or a suite target
-(its settings, then the resamples of ``monte_carlo_error``).  A block's
-counts are drawn chunk by chunk, the same numbers as one call.  An exact
-run draws only the benchmark's configurations, and a benchmark without a
-generator draws them as a run given ``default_rng(0)`` does.
+A task is a block of ``BLOCK`` rows of ``random_config_benchmark``
+(configurations ``g.random((m, 8)) * 2*pi``), so changing ``BLOCK`` moves
+seeded benchmark output; a CHSH grid point (its four settings, then
+``g.poisson(counts, (mc_trials, 4, 4))``) or a suite target (its settings,
+then the resamples of ``monte_carlo_error``).  An exact run draws only the
+benchmark's configurations, and a benchmark without a generator draws them
+as a run given ``default_rng(0)`` does.
 """
 
 from dataclasses import dataclass, field
@@ -62,18 +64,9 @@ MAX_MANIFOLD_SIDE = 1001  # grid points per axis: a step of at least 2*pi/1000
 SCHEMA = 1  # version of every report document
 NOISELESS = NoiseModel.noiseless()
 
-_MAX_CHUNK = 256  # items per batch: bounds the device model's memory on large sweeps
-STREAM_BLOCK = 256  # rows per child generator of random_config_benchmark
-
-
-def _run_chunked(fn, n):
-    """fn(lo, hi) over contiguous chunks of range(n), in order, joined along the last axis.
-
-    There are as few near-equal chunks as keep each within _MAX_CHUNK items.
-    """
-    chunks = -(-n // _MAX_CHUNK)
-    bounds = [n * k // chunks for k in range(chunks + 1)]
-    return np.concatenate([fn(bounds[k], bounds[k + 1]) for k in range(chunks)], axis=-1)
+MAX_BENCHMARK_N = 10**6  # benchmark rows: they run in blocks, so memory stays flat
+MAX_SUITE_TARGETS = 10**4  # mixed-suite targets, drawn or given: all of them share one batch
+BLOCK = 256  # rows (or grid points) per device batch, and rows per child generator of the benchmark
 
 
 # ---------------------------------------------------------------------------
@@ -113,25 +106,22 @@ def prep_config(amps):
 # noisy device statistics shared by all drivers
 # ---------------------------------------------------------------------------
 
-def device_probs(config, noise, rng, input_state="00"):
-    """Coincidence statistics of the simulated device under a noise model.
+def device_probs(phases, noise, rngs):
+    """(N, 4) coincidence probabilities of the simulated device, input |00>, at (N, 8) phases.
 
-    Applies per-setting phase jitter (when an rng is given), runs the
-    two-photon waveguide model and blends in the distinguishable-photon
-    statistics with weight 1 - v.  For an (N, 8) batch of configurations,
-    rng is None, one generator for the whole batch or a sequence of K
-    generators for K equal groups of consecutive rows (see
-    apply_phase_noise); the netlist is composed once for the whole batch and
-    feeds both photon models.
+    rngs is None (the device runs at the given phases) or K generators that
+    jitter K equal groups of consecutive rows (see apply_phase_noise).  The
+    netlist is composed once for the batch and feeds the two-photon
+    waveguide model and the distinguishable-photon model, blended in with
+    weight 1 - v.
     """
-    if rng is not None and noise.phase_sigma > 0:
-        config = apply_phase_noise(config, noise.phase_sigma, rng)
-    u = transfer_matrices(config)
-    probs = coincidence_probs(config, input_state, model="waveguide", transfer=u)
+    if rngs is not None and noise.phase_sigma > 0:
+        phases = apply_phase_noise(phases, noise.phase_sigma, rngs)
+    u = transfer_matrices(phases)
+    probs = coincidence_probs(phases, "00", model="waveguide", transfer=u).as_array()
     v = noise.indistinguishability
     if v < 1.0:
-        classical = distinguishable_coincidence_probs(config, input_state, transfer=u)
-        probs = mix_statistics(probs, classical, v)
+        probs = mix_statistics(probs, distinguishable_coincidence_probs(phases, "00", transfer=u).as_array(), v)
     return probs
 
 
@@ -190,27 +180,20 @@ def random_config_benchmark(n=995, noise=NOISELESS, rng=None, exact=False):
     only the deterministic parts of the noise model; a noiseless model then
     gives fidelity 1 up to roundoff.  The module docstring gives the draws.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    if not 1 <= n <= MAX_BENCHMARK_N:
+        raise ValueError(f"n must be at least 1 and at most {MAX_BENCHMARK_N}, got {n}")
     exact = exact or rng is None
-    children = (np.random.default_rng(0) if rng is None else rng).spawn(-(-n // STREAM_BLOCK))
+    children = (np.random.default_rng(0) if rng is None else rng).spawn(-(-n // BLOCK))
     fidelities = []
-    for g, lo in zip(children, range(0, n, STREAM_BLOCK)):
-        configs = g.random((min(STREAM_BLOCK, n - lo), 8)) * TWO_PI
-        noisy = configs if exact else apply_phase_noise(configs, noise.phase_sigma, g)
+    for g, lo in zip(children, range(0, n, BLOCK)):
+        configs = g.random((min(BLOCK, n - lo), 8)) * TWO_PI
         rngs = None if exact else [g]
-        fidelities.append(_run_chunked(lambda i, j: _benchmark_rows(configs[i:j], noisy[i:j], noise, rngs),
-                                       len(configs)))
+        counts = _outcome_counts(device_probs(configs, noise, rngs), noise, rngs)
+        total = counts.sum(axis=-1)
+        theory = coincidence_probs(configs, "00", model="gate").as_array()
+        fidelity = statistical_fidelity(counts / np.where(total > 0, total, 1.0)[:, None], theory)
+        fidelities.append(np.where(total > 0, fidelity, 0.0))
     return BenchmarkReport(np.concatenate(fidelities))
-
-
-def _benchmark_rows(configs, noisy, noise, rngs):
-    """Fidelities of rows whose device runs at the noisy phases, with counts drawn from rngs (or expected)."""
-    theory = coincidence_probs(configs, "00", model="gate")
-    counts = _outcome_counts(device_probs(noisy, noise, None).as_array(), noise, rngs)
-    total = counts.sum(axis=-1)
-    fidelity = statistical_fidelity(counts / np.where(total > 0, total, 1.0)[:, None], theory)
-    return np.where(total > 0, fidelity, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +254,7 @@ def tomography_records(prep, noise, rng, qubits=2):
     phis = np.zeros((len(prep), len(settings), 8))
     phis[..., :4] = np.array([p.phis[:4] for p in prep])[:, None]
     phis[..., 4:4 + 2 * qubits] = [np.ravel(s.angles) for s in settings]
-    probs = device_probs(phis.reshape(-1, 8), noise, rng).as_array()
+    probs = device_probs(phis.reshape(-1, 8), noise, rng)
     if qubits == 1:
         probs = np.stack([probs[:, 0] + probs[:, 1], probs[:, 2] + probs[:, 3]], axis=-1)
     counts = np.rint(_outcome_counts(probs, noise, rng))
@@ -397,7 +380,7 @@ def _chsh_points(alphas, betas, noise, rngs, mc_trials):
     settings' phase errors, then their counts, then its resamples.
     """
     configs = _chsh_phases(alphas, betas)
-    probs = device_probs(configs, noise, rngs).as_array()
+    probs = device_probs(configs, noise, rngs)
     # exact: expected_counts' accidentals without its mean_pairs scale, which S does not depend on
     counts = probs + noise.accidental_fraction / 4 if rngs is None else _outcome_counts(probs, noise, rngs)
     counts = counts.reshape(len(alphas), 4, 4)
@@ -456,12 +439,11 @@ def chsh_manifold(step=DEFAULT_MANIFOLD_STEP, noise=NOISELESS, rng=None, mc_tria
     axis = np.arange(npts) * step
     rows, cols = np.divmod(np.arange(npts * npts), npts)
     children = None if rng is None else rng.spawn(npts * npts)
-
-    def chunk(lo, hi):
+    s, std = np.zeros((2, npts * npts))
+    for lo in range(0, npts * npts, BLOCK):
+        hi = lo + BLOCK
         rngs = None if children is None else children[lo:hi]
-        return np.array(_chsh_points(axis[rows[lo:hi]], axis[cols[lo:hi]], noise, rngs, mc_trials))
-
-    s, std = _run_chunked(chunk, npts * npts)
+        s[lo:hi], std[lo:hi] = _chsh_points(axis[rows[lo:hi]], axis[cols[lo:hi]], noise, rngs, mc_trials)
     return ManifoldGrid(axis, axis.copy(), s.reshape(npts, npts), std.reshape(npts, npts))
 
 
@@ -567,21 +549,27 @@ def reduced_state_of_config(config):
     return partial_trace(np.outer(psi, psi.conj()), keep="A")
 
 
+def _check_target_count(count):
+    if not 1 <= count <= MAX_SUITE_TARGETS:
+        raise ValueError(f"a suite takes at least 1 and at most {MAX_SUITE_TARGETS} targets, got {count}")
+
+
 def mixed_state_suite(targets=None, n=119, noise=NOISELESS, rng=None, mc_trials=0):
     """Generate mixed single-qubit targets on the chip and tomograph qubit A.
 
     targets: iterable of Bloch vectors; when omitted, n targets are drawn at
     random by the Hilbert-Schmidt measure (requires an rng).  No targets
-    (an empty list, or n < 1) is a ValueError, as is a negative mc_trials.
+    (an empty list, or n < 1), more than MAX_SUITE_TARGETS of them or a
+    negative mc_trials is a ValueError.
     """
     _check_mc_trials(mc_trials)
     if targets is None:
         if rng is None:
             raise ValueError("sampling targets requires an rng")
+        _check_target_count(n)
         targets = [bloch_of_rho(sample_hs_random(2, rng)) for _ in range(n)]
     targets = [np.asarray(t, dtype=float) for t in targets]
-    if not targets:
-        raise ValueError("at least one target is required, got none")
+    _check_target_count(len(targets))
     children = None if rng is None else rng.spawn(len(targets))
     preps = [prep_config(solve_mixed_prep(r)) for r in targets]
     settings, counts = tomography_records(preps, noise, children, qubits=1)

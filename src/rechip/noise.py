@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chip import CoincidenceProbs, PhaseConfig, phase_batch, wrap_phases
+from .chip import phase_batch, wrap_phases
 from .csvio import read_rows
 
 SPEED_OF_LIGHT_NM_PER_FS = 299.792458
@@ -108,35 +108,30 @@ class SpectralModel:
         return float(np.sqrt(np.log(2.0)) / (np.pi * dnu))
 
 
-def apply_phase_noise(config, sigma, rng):
-    """Each phase independently perturbed by N(0, sigma^2), rewrapped to [0, 2*pi).
+def apply_phase_noise(phases, sigma, rngs):
+    """(N, 8) phases each perturbed by N(0, sigma^2), rewrapped to [0, 2*pi).
 
-    rng is one Generator, the group of one, or a sequence of K generators
-    for K equal groups of consecutive rows of the (N, 8) batch (a PhaseConfig
-    is the batch of one).  Each generator draws its group's errors as one
-    standard_normal((N / K, 8)) call.
+    rngs holds K generators for K equal groups of consecutive rows; each
+    draws its group's errors as one standard_normal((N / K, 8)) call.
     """
     if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
-        return config
-    phases = phase_batch(config)
-    groups = [rng] if isinstance(rng, np.random.Generator) else rng
-    if len(phases) % len(groups):
-        raise ValueError(f"{len(phases)} rows do not split into {len(groups)} equal groups")
-    z = np.array([g.standard_normal((len(phases) // len(groups), 8)) for g in groups]).reshape(phases.shape)
+        return phases
+    phases = phase_batch(phases)
+    if len(phases) % len(rngs):
+        raise ValueError(f"{len(phases)} rows do not split into {len(rngs)} equal groups")
+    z = np.array([g.standard_normal((len(phases) // len(rngs), 8)) for g in rngs]).reshape(phases.shape)
     # sigma * z is the double g.normal(0, sigma, size) returns, without numpy's per-call checks
-    noisy = wrap_phases(phases + sigma * z)
-    return PhaseConfig(noisy[0]) if isinstance(config, PhaseConfig) else noisy
+    return wrap_phases(phases + sigma * z)
 
 
 def mix_statistics(quantum, classical, v):
-    """Convex combination v * quantum + (1 - v) * classical, componentwise (rowwise for a batch)."""
+    """Convex combination v * quantum + (1 - v) * classical of two probability arrays, such as
+    the (N, 4) two-photon and distinguishable-photon statistics of one batch."""
     if not 0.0 <= v <= 1.0:
         raise ValueError("v must lie in [0, 1]")
-    p = v * quantum.as_array() + (1.0 - v) * classical.as_array()
-    success = v * quantum.success + (1.0 - v) * classical.success
-    return CoincidenceProbs.from_array(p, success)
+    return v * np.asarray(quantum) + (1.0 - v) * np.asarray(classical)
 
 
 def expected_counts(probs, model):

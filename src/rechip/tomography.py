@@ -288,10 +288,9 @@ def simulate_counts(settings, rho, pairs_per_setting):
 def statistical_fidelity(p, q):
     """Bhattacharyya overlap sum_k sqrt(p_k q_k) of two probability vectors.
 
-    (N, k) inputs (or batched CoincidenceProbs) give the (N,) overlaps row by row.
+    (N, k) arrays give the (N,) overlaps row by row.
     """
-    p = p.as_array() if hasattr(p, "as_array") else np.asarray(p, dtype=float)
-    q = q.as_array() if hasattr(q, "as_array") else np.asarray(q, dtype=float)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     f = np.sqrt(np.clip(p, 0, None) * np.clip(q, 0, None)).sum(axis=-1)
     return float(f) if f.ndim == 0 else f
 

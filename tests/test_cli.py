@@ -167,13 +167,20 @@ class TestArgumentValidation:
             ["hom-dip", "--seed", "1", "--delay-max", "0"],
             ["hom-dip", "--seed", "1", "--delay-max=-1600"],
             ["hom-dip", "--seed", "1", "--delay-max", "1e-300"],
+            ["benchmark-random", "--n", "1000001", "--seed", "1"],
+            ["benchmark-random", "--n", str(2**63), "--seed", "1"],
+            ["mixed-suite", "--n", "10001", "--seed", "1"],
+            ["mixed-suite", "--n", str(2**63), "--seed", "1"],
+            ["hom-dip", "--seed", "1", "--points", "0"],
+            ["hom-dip", "--seed", "1", "--points", "-1"],
         ],
         ids=["n-zero", "pairs-negative", "visibility-above-one", "step-zero", "sigma-nan", "pairs-zero",
              "mixed-n-zero", "mc-trials-one", "mc-trials-negative", "mixed-mc-trials-one",
              "manifold-mc-trials-one", "bell-exact-mc-trials", "manifold-exact-mc-trials",
              "mixed-exact-mc-trials", "step-grid-too-large", "step-inf", "hom-no-zero-delay-point",
              "threshold-nan", "threshold-inf", "threshold-zero", "threshold-negative", "delay-max-nan",
-             "delay-max-inf", "delay-max-minus-inf", "delay-max-zero", "delay-max-negative", "delay-max-tiny"],
+             "delay-max-inf", "delay-max-minus-inf", "delay-max-zero", "delay-max-negative", "delay-max-tiny",
+             "n-above-cap", "n-2-63", "mixed-n-above-cap", "mixed-n-2-63", "points-zero", "points-negative"],
     )
     def test_exit_2_with_one_line(self, argv, tmp_path, capsys):
         _assert_exit_2_with_one_line(argv, tmp_path, capsys)
@@ -191,6 +198,11 @@ class TestArgumentValidation:
     )
     def test_jobs_below_one(self, argv, jobs, tmp_path, capsys):
         _assert_exit_2_with_one_line(argv + ["--jobs", jobs], tmp_path, capsys)
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_one_names_the_flag(self, points, capsys):
+        assert main(["hom-dip", "--seed", "1", "--points", points]) == 2
+        _one_error_line(capsys, f"--points must be at least 1, got {points}")
 
     def test_huge_delay_max_scans_without_warnings(self, tmp_path, capsys):
         # the dip term is clipped where it is already 0, so delays of 1e300 fs cannot overflow

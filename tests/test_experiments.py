@@ -9,6 +9,8 @@ from rechip.chip import BASIS_LABELS, PhaseConfig, coincidence_probs, two_qubit_
 from rechip.cli import main
 from rechip.experiments import (
     BELL_PREPS,
+    MAX_BENCHMARK_N,
+    MAX_SUITE_TARGETS,
     PrepAmplitudes,
     bell_state_suite,
     bell_targets,
@@ -86,13 +88,6 @@ class TestBenchmark:
     def test_seed_reproducible(self):
         a = random_config_benchmark(n=15, noise=NOISE_REF, rng=np.random.default_rng(8))
         b = random_config_benchmark(n=15, noise=NOISE_REF, rng=np.random.default_rng(8))
-        assert np.array_equal(a.fidelities, b.fidelities)
-
-    def test_jobs_invariant(self, monkeypatch):
-        """Four chunks of three give the fidelities of one chunk of twelve."""
-        a = random_config_benchmark(n=12, noise=NOISE_REF, rng=np.random.default_rng(9))
-        monkeypatch.setattr("rechip.experiments._MAX_CHUNK", 3)
-        b = random_config_benchmark(n=12, noise=NOISE_REF, rng=np.random.default_rng(9))
         assert np.array_equal(a.fidelities, b.fidelities)
 
     def test_report_dict(self):
@@ -286,6 +281,16 @@ class TestMixedSuite:
         with pytest.raises(ValueError):
             mixed_state_suite(n=5, rng=None)
 
+    @pytest.mark.parametrize("n", [MAX_SUITE_TARGETS + 1, 2**63])
+    def test_target_count_capped_before_any_work(self, n):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"at most {MAX_SUITE_TARGETS} targets, got {n}"):
+            mixed_state_suite(n=n, rng=rng)
+        with pytest.raises(ValueError, match=f"got {MAX_SUITE_TARGETS + 1}"):
+            mixed_state_suite(targets=np.zeros((MAX_SUITE_TARGETS + 1, 3)), rng=rng)
+        assert rng.bit_generator.state == state
+
     def test_noisy_sampled(self):
         report = mixed_state_suite(n=10, noise=NOISE_REF, rng=np.random.default_rng(12))
         assert report.mean > 0.9
@@ -391,39 +396,34 @@ class TestBatchedDrivers:
         with pytest.raises(ValueError, match="at least 1"):
             random_config_benchmark(0, NOISE_REF, np.random.default_rng(1))
 
+    @pytest.mark.parametrize("n", [MAX_BENCHMARK_N + 1, 2**63])
+    def test_benchmark_size_capped_before_any_work(self, n):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"at most {MAX_BENCHMARK_N}, got {n}"):
+            random_config_benchmark(n, NOISE_REF, rng)
+        assert rng.bit_generator.state == state
+
     def test_device_probs_batch_equals_single_calls(self, rng):
         phis = rng.uniform(0, TWO_PI, (16, 8))
-        batch = device_probs(phis, NOISE_REF, np.random.default_rng(3).spawn(16), "10")
-        single = [device_probs(PhaseConfig(p), NOISE_REF, g, "10")
-                  for p, g in zip(phis, np.random.default_rng(3).spawn(16))]
-        assert np.array_equal(batch.as_array(), np.array([s.as_array() for s in single]))
-        assert np.array_equal(batch.success, np.array([s.success for s in single]))
+        batch = device_probs(phis, NOISE_REF, np.random.default_rng(3).spawn(16))
+        single = [device_probs(p[None], NOISE_REF, [g]) for p, g in zip(phis, np.random.default_rng(3).spawn(16))]
+        assert batch.shape == (16, 4)
+        assert np.array_equal(batch, np.concatenate(single))
 
-    @pytest.mark.parametrize("chunk", [2, 5, 40])
-    def test_benchmark_independent_of_jobs(self, chunk, monkeypatch):
-        """The benchmark's fidelities do not depend on how many items a chunk holds."""
-        ref = random_config_benchmark(17, NOISE_REF, np.random.default_rng(8))
-        monkeypatch.setattr("rechip.experiments._MAX_CHUNK", chunk)
-        out = random_config_benchmark(17, NOISE_REF, np.random.default_rng(8))
-        assert np.array_equal(ref.fidelities, out.fidelities)
-
-    def test_sampled_manifold_independent_of_jobs(self, monkeypatch):
-        """A sampled grid run in chunks of three points equals the grid run as one chunk."""
+    def test_sampled_manifold_independent_of_block(self, monkeypatch):
+        """A sampled grid run in blocks of three points equals the grid run as one block."""
         ref = chsh_manifold(TWO_PI / 4, NOISE_REF, np.random.default_rng(9), mc_trials=5)
-        monkeypatch.setattr("rechip.experiments._MAX_CHUNK", 3)
+        monkeypatch.setattr("rechip.experiments.BLOCK", 3)
         out = chsh_manifold(TWO_PI / 4, NOISE_REF, np.random.default_rng(9), mc_trials=5)
         assert np.array_equal(ref.s, out.s)
         assert np.array_equal(ref.std, out.std)
 
     def test_chunk_cap_does_not_change_results(self, monkeypatch):
-        bench = random_config_benchmark(23, NOISE_REF, np.random.default_rng(12))
-        grid = chsh_manifold(TWO_PI / 4, NOISE_REF, np.random.default_rng(13), mc_trials=3)
-        monkeypatch.setattr("rechip.experiments._MAX_CHUNK", 4)
-        assert np.array_equal(random_config_benchmark(23, NOISE_REF, np.random.default_rng(12)).fidelities,
-                              bench.fidelities)
-        capped = chsh_manifold(TWO_PI / 4, NOISE_REF, np.random.default_rng(13), mc_trials=3)
-        assert np.array_equal(capped.s, grid.s)
-        assert np.array_equal(capped.std, grid.std)
+        """Blocks of four points give the exact grid of one block."""
+        grid = chsh_manifold(TWO_PI / 6, NOISE_REF)
+        monkeypatch.setattr("rechip.experiments.BLOCK", 4)
+        assert np.array_equal(chsh_manifold(TWO_PI / 6, NOISE_REF).s, grid.s)
 
     def test_manifold_points_equal_chsh_sum(self):
         grid = chsh_manifold(TWO_PI / 6, NOISE_REF, np.random.default_rng(10), mc_trials=4)
@@ -439,12 +439,12 @@ class TestBatchedDrivers:
 
     def test_grid_side_capped_before_any_work(self, monkeypatch):
         sizes = []
-        monkeypatch.setattr("rechip.experiments._run_chunked",
-                            lambda fn, n: sizes.append(n) or np.zeros((2, n)))
+        monkeypatch.setattr("rechip.experiments._chsh_points",
+                            lambda alphas, *_: sizes.append(len(alphas)) or np.zeros((2, len(alphas))))
         assert chsh_manifold(TWO_PI / 1000).s.shape == (1001, 1001)
         with pytest.raises(ValueError, match=r"1002 x 1002 grid \(1004004 points\)"):
             chsh_manifold(TWO_PI / 1001)
-        assert sizes == [1001 * 1001]
+        assert sum(sizes) == 1001 * 1001
 
     @pytest.mark.parametrize("qubits", [1, 2])
     def test_tomography_records_exact_and_sampled(self, qubits):
@@ -481,13 +481,12 @@ class TestDeviceProbsProperties:
         seed=st.integers(0, 2**31),
         sigma=st.floats(0.0, 0.5),
         v=st.floats(0.0, 1.0),
-        state=st.sampled_from(BASIS_LABELS),
     )
-    def test_rows_are_distributions(self, n, seed, sigma, v, state):
+    def test_rows_are_distributions(self, n, seed, sigma, v):
         rng = np.random.default_rng(seed)
         phis = rng.uniform(0.0, TWO_PI, (n, 8))
         noise = NoiseModel(phase_sigma=sigma, indistinguishability=v)
-        p = device_probs(phis, noise, rng.spawn(n), state).as_array()
+        p = device_probs(phis, noise, rng.spawn(n))
         assert p.shape == (n, 4)
         assert np.all((p >= 0.0) & (p <= 1.0))
         assert np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-12

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from rechip import experiments, numerics, tomography
 from rechip.calibration import CalibrationError, HeaterCurve, fit_fringe
-from rechip.chip import BASIS_LABELS, PhaseConfig, coincidence_probs, phase_batch, wrap_phases
+from rechip.chip import coincidence_probs, phase_batch, wrap_phases
 from rechip.noise import CountRecord, NoiseModel, apply_phase_noise, expected_counts
 from rechip.tomography import (bloch_of_rho, canonical_settings, check_density, mle_reconstruct,
                                mle_reconstruct_batch, quantum_fidelity, rho_of_bloch, sample_hs_random,
@@ -157,20 +157,17 @@ def test_outcome_counts_draw_the_array_poisson_stream(seed, outcomes, groups, pe
     assert _same_states(rngs, twins)
 
 
-@given(seed=SEED, sigma=st.floats(0.0, 1e300), groups=GROUPS, per_group=PER_GROUP, single=st.booleans())
-def test_phase_noise_draws_the_normal_stream(seed, sigma, groups, per_group, single):
-    """A PhaseConfig draws from one generator; a batch draws one (rows, 8) array per group of rows."""
-    groups, per_group = (1, 1) if single else (groups, per_group)
+@given(seed=SEED, sigma=st.floats(0.0, 1e300), groups=GROUPS, per_group=PER_GROUP)
+def test_phase_noise_draws_the_normal_stream(seed, sigma, groups, per_group):
+    """A batch draws one (rows, 8) array per group of rows."""
     phases = np.random.default_rng(seed ^ 1).random((groups * per_group, 8)) * experiments.TWO_PI
-    config = PhaseConfig(phases[0]) if single else phases
     rngs, twins = _twin_generators(seed, groups)
-    noisy = apply_phase_noise(config, sigma, rngs[0] if single else rngs)
-    expected = phase_batch(config)
+    noisy = apply_phase_noise(phases, sigma, rngs)
+    expected = phase_batch(phases)
     if sigma > 0.0:
         errors = [g.normal(0.0, sigma, size=(per_group, 8)) for g in twins]
         expected = wrap_phases(expected + np.concatenate(errors))
     assert np.array_equal(phase_batch(noisy), expected)
-    assert isinstance(noisy, PhaseConfig) == single
     assert _same_states(rngs, twins)
 
 
@@ -190,7 +187,7 @@ def test_chsh_resample_std_matches_one_std_per_point(seed, points, mc_trials, me
     counts, expected = [], []
     for g, phases in zip(twins, experiments._chsh_phases(*angles).reshape(points, 4, 8)):
         noisy = wrap_phases(phases + g.normal(0.0, noise.phase_sigma, size=(4, 8)))
-        lam = expected_counts(experiments.device_probs(noisy, noise, None).as_array(), noise)
+        lam = expected_counts(experiments.device_probs(noisy, noise, None), noise)
         counts.append(g.poisson(lam).astype(float))
         resampled = g.poisson(np.broadcast_to(counts[-1], (mc_trials, 4, 4))).astype(float)
         expected.append(np.std(experiments._chsh_of_counts(resampled), ddof=1))
@@ -214,7 +211,7 @@ def test_suite_target_draws_errors_counts_then_resamples(seed, n, mc_trials, noi
         phases[:, :4] = experiments.prep_config(experiments.solve_mixed_prep(target)).phis[:4]
         phases[:, 4:6] = [np.ravel(s.angles) for s in settings]
         noisy = wrap_phases(phases + g.normal(0.0, noise.phase_sigma, size=phases.shape))
-        p = experiments.device_probs(noisy, noise, None).as_array()
+        p = experiments.device_probs(noisy, noise, None)
         counts = np.rint(g.poisson(expected_counts(p[:, [0, 2]] + p[:, [1, 3]], noise)).astype(float))
         point = mle_reconstruct_batch(settings, counts[None])[0]
         assert np.array_equal(entry.rho, point.rho)
@@ -228,12 +225,11 @@ def test_suite_target_draws_errors_counts_then_resamples(seed, n, mc_trials, noi
     assert _same_states(rng.children, twins)
 
 
-# A sampled random_config_benchmark draws from one child generator per block of STREAM_BLOCK rows, each
-# quantity of a block as one array call.  The properties below pin it, with small blocks and chunks, to a
-# replica in plain numpy array calls, and the generators it spawns to the state those calls leave.
+# A sampled random_config_benchmark draws from one child generator per block of BLOCK rows, each
+# quantity of a block as one array call.  The properties below pin it, with small blocks, to a replica in
+# plain numpy array calls, and the generators it spawns to the state those calls leave.
 
-BLOCK = st.integers(1, 7)  # rows per child generator (experiments.STREAM_BLOCK)
-CHUNK = st.integers(1, 6)  # items per chunk of a sweep (experiments._MAX_CHUNK)
+BLOCK_SIZE = st.integers(1, 7)  # rows (or grid points) per block (experiments.BLOCK)
 
 
 def _block_replica(seed, n, block, noise, exact):
@@ -245,41 +241,53 @@ def _block_replica(seed, n, block, noise, exact):
         noisy = configs
         if not exact and noise.phase_sigma > 0:
             noisy = wrap_phases(configs + noise.phase_sigma * g.standard_normal(configs.shape))
-        lam = expected_counts(experiments.device_probs(noisy, noise, None).as_array(), noise)
+        lam = expected_counts(experiments.device_probs(noisy, noise, None), noise)
         counts = lam if exact else g.poisson(lam).astype(float)
         total = counts.sum(axis=-1)
-        theory = coincidence_probs(configs, "00", model="gate")
+        theory = coincidence_probs(configs, "00", model="gate").as_array()
         fidelity = statistical_fidelity(counts / np.where(total > 0, total, 1.0)[:, None], theory)
         fidelities.append(np.where(total > 0, fidelity, 0.0))
     return np.concatenate(fidelities), children
 
 
-@given(seed=st.one_of(st.none(), SEED), n=st.integers(1, 30), block=BLOCK, chunk=CHUNK, exact=st.booleans(),
+@given(seed=st.one_of(st.none(), SEED), n=st.integers(1, 30), block=BLOCK_SIZE, exact=st.booleans(),
        noise=st.sampled_from([NoiseModel(), NoiseModel(phase_sigma=0.0), NoiseModel(mean_pairs=3.0)]))
-def test_benchmark_draws_one_stream_per_block(seed, n, block, chunk, exact, noise):
+def test_benchmark_draws_one_stream_per_block(seed, n, block, exact, noise):
     """Per block: configurations, then (sampled) errors, then counts, each one array call; exact draws only
-    the configurations, and a run without a generator (seed None) those of a run given default_rng(0).
-    Chunks smaller or larger than a block change nothing."""
+    the configurations, and a run without a generator (seed None) those of a run given default_rng(0)."""
     rng = None if seed is None else _RecordingGenerator(np.random.PCG64(seed))
-    with mock.patch.object(experiments, "STREAM_BLOCK", block), mock.patch.object(experiments, "_MAX_CHUNK", chunk):
+    with mock.patch.object(experiments, "BLOCK", block):
         report = experiments.random_config_benchmark(n, noise, rng, exact=exact)
     fidelities, twins = _block_replica(0 if seed is None else seed, n, block, noise, exact or rng is None)
     assert np.array_equal(report.fidelities, fidelities)
     assert rng is None or _same_states(rng.children, twins)
 
 
-@given(seed=SEED, sigma=st.floats(0.0, 1e300), rows=st.integers(1, 12), single=st.booleans())
-def test_phase_noise_from_one_generator_draws_one_normal_array(seed, sigma, rows, single):
+@given(seed=SEED, sigma=st.floats(0.0, 1e300), rows=st.integers(1, 12))
+def test_phase_noise_from_one_generator_draws_one_normal_array(seed, sigma, rows):
     phases = np.random.default_rng(seed ^ 1).random((rows, 8)) * experiments.TWO_PI
-    config = PhaseConfig(phases[0]) if single else phases
     g, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    noisy = apply_phase_noise(config, sigma, g)
-    expected = phase_batch(config)
+    noisy = apply_phase_noise(phases, sigma, [g])
+    expected = phase_batch(phases)
     if sigma > 0.0:
         expected = wrap_phases(expected + sigma * twin.standard_normal(expected.shape))
     assert np.array_equal(phase_batch(noisy), expected)
-    assert isinstance(noisy, PhaseConfig) == single
     assert g.bit_generator.state == twin.bit_generator.state
+
+
+@given(seed=SEED, groups=GROUPS, per_group=PER_GROUP, sigma=st.floats(0.0, 0.5), v=st.floats(0.0, 1.0),
+       sampled=st.booleans())
+def test_device_probs_on_groups_equals_per_group_calls(seed, groups, per_group, sigma, v, sampled):
+    """device_probs on K groups of rows (K generators, or none) equals the K per-group calls, bit for bit."""
+    phases = np.random.default_rng(seed ^ 1).random((groups * per_group, 8)) * experiments.TWO_PI
+    noise = NoiseModel(phase_sigma=sigma, indistinguishability=v)
+    rngs, twins = _twin_generators(seed, groups)
+    probs = experiments.device_probs(phases, noise, rngs if sampled else None)
+    parts = [experiments.device_probs(part, noise, [g] if sampled else None)
+             for part, g in zip(np.split(phases, groups), twins)]
+    assert probs.shape == (groups * per_group, 4)
+    assert np.array_equal(probs, np.concatenate(parts))
+    assert _same_states(rngs, twins)
 
 
 @pytest.mark.xfail(strict=True, reason="each setting draws its own errors for all eight phases, so the four "
@@ -291,18 +299,18 @@ def test_noisy_exact_count_s_obeys_tsirelson(seed, alpha, beta, sigma, v, accide
     """S from the expected counts of jittered device rows is at most 2 sqrt(2) for any noise and grid point."""
     noise = NoiseModel(phase_sigma=sigma, indistinguishability=v, accidental_fraction=accidental)
     g = np.random.default_rng(seed)  # the point's generator, which draws each setting's eight errors
-    probs = experiments.device_probs(experiments._chsh_phases([alpha], [beta]), noise, g).as_array()
+    probs = experiments.device_probs(experiments._chsh_phases([alpha], [beta]), noise, [g])
     s = experiments._chsh_of_counts(expected_counts(probs, noise).reshape(1, 4, 4))[0]
     assert abs(s) <= 2 * np.sqrt(2) + 1e-12
 
 
 @given(n=st.integers(1, 32), seed=SEED, sigma=st.floats(0.0, 0.5), v=st.floats(0.0, 1.0),
-       accidental=st.floats(0.0, 10.0), state=st.sampled_from(BASIS_LABELS))
-def test_device_rows_are_distributions_with_accidentals(n, seed, sigma, v, accidental, state):
+       accidental=st.floats(0.0, 10.0))
+def test_device_rows_are_distributions_with_accidentals(n, seed, sigma, v, accidental):
     """Device rows are distributions, and accidentals add accidental_fraction / 4 of the pairs to each outcome."""
     rng = np.random.default_rng(seed)
     noise = NoiseModel(phase_sigma=sigma, indistinguishability=v, accidental_fraction=accidental, mean_pairs=1.0)
-    p = experiments.device_probs(rng.random((n, 8)) * experiments.TWO_PI, noise, rng.spawn(n), state).as_array()
+    p = experiments.device_probs(rng.random((n, 8)) * experiments.TWO_PI, noise, rng.spawn(n))
     assert np.all((p >= 0.0) & (p <= 1.0))
     assert np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-12
     lam = expected_counts(p, noise)
@@ -314,29 +322,14 @@ def _report_bytes(report):
     return json.dumps(report.to_dict(), sort_keys=True).encode()
 
 
-def _chunked_runs(run, sizes):
-    # hypothesis rejects function-scoped fixtures, so the chunk size is patched by hand
-    runs = []
-    for size in sizes:
-        with mock.patch.object(experiments, "_MAX_CHUNK", size):
-            runs.append(run())
-    return runs
-
-
-@given(seed=SEED, n=st.integers(1, 40), chunk=CHUNK, other=CHUNK)
-def test_benchmark_does_not_depend_on_jobs(seed, n, chunk, other):
-    """However a sweep is split into chunks, its report is the same."""
-    runs = _chunked_runs(lambda: experiments.random_config_benchmark(
-        n, NoiseModel(), np.random.default_rng(seed)), (chunk, other))
-    assert _report_bytes(runs[0]) == _report_bytes(runs[1])
-
-
-@given(seed=SEED, side=st.integers(2, 8), mc_trials=st.sampled_from([0, 2, 5]), chunk=CHUNK, other=CHUNK)
-def test_manifold_does_not_depend_on_jobs(seed, side, mc_trials, chunk, other):
-    """However a grid is split into chunks, its report is the same."""
+@given(seed=SEED, side=st.integers(2, 8), mc_trials=st.sampled_from([0, 2, 5]), block=BLOCK_SIZE, other=BLOCK_SIZE)
+def test_manifold_does_not_depend_on_block(seed, side, mc_trials, block, other):
+    """However a grid is split into blocks, its report is the same."""
     step = experiments.TWO_PI / (side - 1)
-    runs = _chunked_runs(lambda: experiments.chsh_manifold(
-        step, NoiseModel(), np.random.default_rng(seed), mc_trials), (chunk, other))
+    runs = []
+    for size in (block, other):  # hypothesis rejects function-scoped fixtures, so BLOCK is patched by hand
+        with mock.patch.object(experiments, "BLOCK", size):
+            runs.append(experiments.chsh_manifold(step, NoiseModel(), np.random.default_rng(seed), mc_trials))
     assert runs[0].s.shape == (side, side)
     assert _report_bytes(runs[0]) == _report_bytes(runs[1])
 
