@@ -9,6 +9,8 @@ drivers (random-configuration benchmark, Bell states, CHSH manifold, mixed
 single-qubit states, HOM dip).
 """
 
+import math
+
 from .chip import (
     PhaseConfig,
     CoincidenceProbs,
@@ -24,6 +26,16 @@ from .noise import NoiseModel, CountRecord, SpectralModel
 from .optics import Coupler, Phase, Netlist
 
 __version__ = "0.1.0"
+
+# Report schema, defaults and input caps that the command-line parser states;
+# they live here so that the parser reads them without importing the drivers.
+SCHEMA = 1  # version of every report document
+DEFAULT_MANIFOLD_STEP = 2.0 * math.pi / 15.0
+MAX_MANIFOLD_SIDE = 1001  # grid points per axis: a step of at least 2*pi/1000
+MAX_BENCHMARK_N = 10**6  # benchmark rows: they run in blocks, so memory stays flat
+MAX_SUITE_TARGETS = 10**4  # mixed-suite targets, drawn or given: all of them share one batch
+MAX_MC_TRIALS = 10**3  # Poisson resamples per error bar: one batch per target or grid point
+MAX_HOM_POINTS = 10**5  # delays in one HOM scan: every report holds each of them
 
 __all__ = [
     "PhaseConfig",

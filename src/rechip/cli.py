@@ -17,48 +17,79 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from collections import Counter
 
 import numpy as np
 
-from . import __version__, calibration, experiments, noise, tomography
+# Only the modules that every subcommand shares; each handler imports the drivers it runs.
+# calibration and noise hold the cli-cold targets of perfbench's tracer, which patches only
+# the modules loaded by `import rechip.cli` (perfbench/cli_child.py), so they stay here.
+from . import (
+    DEFAULT_MANIFOLD_STEP,
+    MAX_BENCHMARK_N,
+    MAX_HOM_POINTS,
+    MAX_MANIFOLD_SIDE,
+    MAX_MC_TRIALS,
+    MAX_SUITE_TARGETS,
+    SCHEMA,
+    __version__,
+    calibration,
+    noise,
+)
 from .chip import PhaseConfig, cnot_success_probs, default_netlist, verify_cnot
-from .experiments import SCHEMA
 from .optics import netlist_from_json, netlist_to_json
 
-# NoiseModel's first three fields by flag: (value in the ideal device of --exact, sampled default)
+# NoiseModel's first three fields by flag: (field, value in the ideal device of --exact, sampled default)
 _NOISE_FLAGS = {
-    "phase_sigma": (0.0, noise.DEFAULT_PHASE_SIGMA),
-    "visibility": (1.0, noise.DEFAULT_INDISTINGUISHABILITY),
-    "accidental": (0.0, 0.0),
+    "phase_sigma": ("phase_sigma", 0.0, noise.DEFAULT_PHASE_SIGMA),
+    "visibility": ("indistinguishability", 1.0, noise.DEFAULT_INDISTINGUISHABILITY),
+    "accidental": ("accidental_fraction", 0.0, 0.0),
 }
+
+
+def _check_noise_flag(name, field, value):
+    """A ValueError naming the flag and its value unless value is finite and in the field's domain."""
+    low, high, text = noise.FIELD_DOMAINS[field]
+    if not math.isfinite(value):
+        text = "must be finite"
+    elif low <= value <= high:
+        return
+    raise ValueError(f"--{name.replace('_', '-')} {text}, got {value}")
 
 
 def _noise_from_args(args):
     pairs = noise.DEFAULT_MEAN_PAIRS if args.pairs is None else args.pairs
     if not pairs > 0:
         raise ValueError(f"--pairs must be positive, got {pairs}")
-    values, conflicts = [], []
-    for name, (ideal, default) in _NOISE_FLAGS.items():
+    _check_noise_flag("pairs", "mean_pairs", pairs)
+    values, conflicts = {"mean_pairs": pairs}, []
+    for name, (field, ideal, default) in _NOISE_FLAGS.items():
         # None when not given; hom-dip takes no --phase-sigma or --accidental: the dip reads neither
         value = getattr(args, name, ideal)
         if args.exact and value not in (None, ideal):
             conflicts.append(f"--{name.replace('_', '-')} {value}")
-        values.append(ideal if args.exact else default if value is None else value)
+        if not args.exact and value is not None:
+            _check_noise_flag(name, field, value)
+        values[field] = ideal if args.exact else default if value is None else value
     if args.exact and args.pairs is not None and args.command == "chsh-manifold":
         conflicts.append(f"--pairs {args.pairs}")  # exact S does not depend on the pair count
     if conflicts:
         raise ValueError(f"--exact runs the ideal device; drop {' '.join(conflicts)}")
-    return noise.NoiseModel(*values, mean_pairs=pairs)
+    events = pairs * (1.0 + values["accidental_fraction"])
+    if events > noise.MAX_MEAN_EVENTS:
+        what = "--pairs" if events == pairs else "--pairs * (1 + --accidental)"
+        raise ValueError(f"{what} must be at most {noise.MAX_MEAN_EVENTS:g}, got {events}")
+    return noise.NoiseModel(**values)
 
 
 def _mc_trials_from_args(args):
     trials = args.mc_trials
     if trials is None:  # bell-suite's default: 25 resamples of a sampled run, none of an exact one
         return 0 if args.exact else 25
-    if trials == 1 or trials < 0:
-        raise ValueError(f"--mc-trials must be 0 (no error bars) or at least 2, got {trials}")
+    if trials == 1 or not 0 <= trials <= MAX_MC_TRIALS:
+        raise ValueError(f"--mc-trials must be 0 (no error bars) or 2 to {MAX_MC_TRIALS}, got {trials}")
     if trials and args.exact:
         raise ValueError(f"--exact runs have no counts to resample; drop --mc-trials {trials} or --exact")
     return trials
@@ -134,7 +165,12 @@ def _add_options(sub, csv=False, sampling=False, jobs=False, device_noise=True):
         sub.add_argument("--phase-sigma", type=float, default=None)
         sub.add_argument("--accidental", type=float, default=None)
     sub.add_argument("--visibility", type=float, default=None)
-    sub.add_argument("--pairs", type=float, default=None)
+    sub.add_argument("--pairs", type=float, default=None,
+                     help=f"expected coincidences per setting (default {noise.DEFAULT_MEAN_PAIRS:g}); "
+                          f"with accidentals at most {noise.MAX_MEAN_EVENTS:g}")
+
+
+_MC_TRIALS_HELP = f"resamples per error bar, 0 or 2 to {MAX_MC_TRIALS} (default 0)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,34 +193,34 @@ def build_parser():
     p = subs.add_parser("benchmark-random", help="random-configuration fidelity benchmark")
     _add_options(p, csv=True, sampling=True, jobs=True)
     p.add_argument("--n", type=int, default=995,
-                   help=f"configurations, 1 to {experiments.MAX_BENCHMARK_N}")
+                   help=f"configurations, 1 to {MAX_BENCHMARK_N}")
 
     p = subs.add_parser("bell-suite", help="prepare and tomograph the four Bell states")
     _add_options(p, sampling=True, jobs=True)
     p.add_argument("--mc-trials", type=int, default=None,
-                   help="resamples per error bar (default 25; none with --exact)")
+                   help=f"resamples per error bar, 0 or 2 to {MAX_MC_TRIALS} (default 25; none with --exact)")
 
     p = subs.add_parser("chsh-manifold", help="Bell-CHSH sum over the (alpha, beta) grid")
     _add_options(p, csv=True, sampling=True, jobs=True)
-    p.add_argument("--step", type=float, default=experiments.DEFAULT_MANIFOLD_STEP,
-                   help=f"grid spacing in rad; at least 2*pi/{experiments.MAX_MANIFOLD_SIDE - 1} "
-                        f"({experiments.MAX_MANIFOLD_SIDE} points per axis)")
-    p.add_argument("--mc-trials", type=int, default=0)
+    p.add_argument("--step", type=float, default=DEFAULT_MANIFOLD_STEP,
+                   help=f"grid spacing in rad; at least 2*pi/{MAX_MANIFOLD_SIDE - 1} "
+                        f"({MAX_MANIFOLD_SIDE} points per axis)")
+    p.add_argument("--mc-trials", type=int, default=0, help=_MC_TRIALS_HELP)
 
     p = subs.add_parser("mixed-suite", help="generate and tomograph mixed qubit-A states")
     _add_options(p, sampling=True, jobs=True)
     p.add_argument("--n", type=int, default=119,
-                   help=f"random targets to draw, 1 to {experiments.MAX_SUITE_TARGETS}")
+                   help=f"random targets to draw, 1 to {MAX_SUITE_TARGETS}")
     p.add_argument("--targets", default=None,
-                   help=f"Bloch-target CSV (header rx,ry,rz), at most {experiments.MAX_SUITE_TARGETS} rows")
+                   help=f"Bloch-target CSV (header rx,ry,rz), at most {MAX_SUITE_TARGETS} rows")
     p.add_argument("--glyph", action="store_true", help="use the bundled psi-glyph targets")
-    p.add_argument("--mc-trials", type=int, default=0)
+    p.add_argument("--mc-trials", type=int, default=0, help=_MC_TRIALS_HELP)
 
     p = subs.add_parser("hom-dip", help="two-photon dip against optical delay")
     _add_options(p, csv=True, sampling=True, device_noise=False)
     p.add_argument("--delay-max", type=float, default=1600.0,
                    help="scan half-width in fs (positive and finite)")
-    p.add_argument("--points", type=int, default=81, help="delays in the scan (at least 1)")
+    p.add_argument("--points", type=int, default=81, help=f"delays in the scan, 1 to {MAX_HOM_POINTS}")
 
     p = subs.add_parser("fringe-fit", help="fit a heater fringe CSV (voltage,counts)")
     _add_options(p)
@@ -263,6 +299,8 @@ def cmd_verify_chip(args):
 
 
 def cmd_benchmark_random(args):
+    from . import experiments
+
     rng = _rng_from_args(args)
     report = experiments.random_config_benchmark(
         n=args.n, noise=_noise_from_args(args), rng=rng, exact=args.exact
@@ -271,6 +309,8 @@ def cmd_benchmark_random(args):
 
 
 def cmd_bell_suite(args):
+    from . import experiments
+
     rng = _rng_from_args(args)
     report = experiments.bell_state_suite(
         noise=_noise_from_args(args), rng=rng, mc_trials=_mc_trials_from_args(args)
@@ -279,6 +319,8 @@ def cmd_bell_suite(args):
 
 
 def cmd_chsh_manifold(args):
+    from . import experiments
+
     rng = _rng_from_args(args)
     grid = experiments.chsh_manifold(
         step=args.step, noise=_noise_from_args(args), rng=rng,
@@ -290,6 +332,8 @@ def cmd_chsh_manifold(args):
 
 
 def cmd_mixed_suite(args):
+    from . import experiments
+
     rng = _rng_from_args(args)
     targets = None
     if args.glyph:
@@ -310,6 +354,10 @@ def cmd_hom_dip(args):
         raise ValueError(f"--delay-max must be a positive finite number, got {args.delay_max}")
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
+    if args.points > MAX_HOM_POINTS:
+        raise ValueError(f"--points must be at most {MAX_HOM_POINTS}, got {args.points}")
+    from . import experiments
+
     rng = _rng_from_args(args)
     delays = np.linspace(-args.delay_max, args.delay_max, args.points)
     scan = experiments.hom_scan(delays, noise=_noise_from_args(args), rng=rng)
@@ -325,6 +373,8 @@ def cmd_fringe_fit(args):
 
 
 def cmd_tomo(args):
+    from . import tomography
+
     records = _read_input(noise.read_count_records, args.input)
     if not records:
         raise InputFileError(f"{args.input}: no count records")

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import DEFAULT_MANIFOLD_STEP, MAX_BENCHMARK_N, MAX_MANIFOLD_SIDE, MAX_MC_TRIALS, MAX_SUITE_TARGETS, SCHEMA
 from .calibration import phase_of_voltage
 from .chip import (
     PhaseConfig,
@@ -45,27 +46,9 @@ from .noise import (
     hom_visibility,
     mix_statistics,
 )
-from .tomography import (
-    canonical_settings,
-    bloch_of_rho,
-    mle_reconstruct_batch,
-    monte_carlo_error,
-    partial_trace,
-    quantum_fidelity,
-    rho_of_bloch,
-    rho_to_list,
-    sample_hs_random,
-    statistical_fidelity,
-)
 
 TWO_PI = 2.0 * np.pi
-DEFAULT_MANIFOLD_STEP = TWO_PI / 15.0
-MAX_MANIFOLD_SIDE = 1001  # grid points per axis: a step of at least 2*pi/1000
-SCHEMA = 1  # version of every report document
 NOISELESS = NoiseModel.noiseless()
-
-MAX_BENCHMARK_N = 10**6  # benchmark rows: they run in blocks, so memory stays flat
-MAX_SUITE_TARGETS = 10**4  # mixed-suite targets, drawn or given: all of them share one batch
 BLOCK = 256  # rows (or grid points) per device batch, and rows per child generator of the benchmark
 
 
@@ -182,6 +165,8 @@ def random_config_benchmark(n=995, noise=NOISELESS, rng=None, exact=False):
     """
     if not 1 <= n <= MAX_BENCHMARK_N:
         raise ValueError(f"n must be at least 1 and at most {MAX_BENCHMARK_N}, got {n}")
+    from . import tomography
+
     exact = exact or rng is None
     children = (np.random.default_rng(0) if rng is None else rng).spawn(-(-n // BLOCK))
     fidelities = []
@@ -191,7 +176,7 @@ def random_config_benchmark(n=995, noise=NOISELESS, rng=None, exact=False):
         counts = _outcome_counts(device_probs(configs, noise, rngs), noise, rngs)
         total = counts.sum(axis=-1)
         theory = coincidence_probs(configs, "00", model="gate").as_array()
-        fidelity = statistical_fidelity(counts / np.where(total > 0, total, 1.0)[:, None], theory)
+        fidelity = tomography.statistical_fidelity(counts / np.where(total > 0, total, 1.0)[:, None], theory)
         fidelities.append(np.where(total > 0, fidelity, 0.0))
     return BenchmarkReport(np.concatenate(fidelities))
 
@@ -229,8 +214,10 @@ class SuiteReport(_FidelityStats):
             "entries": [{"label": e.label, "fidelity": e.fidelity, "error": e.error} for e in self.entries],
         }
         if include_states:
-            rhos = rho_to_list(np.array([e.rho for e in self.entries]))
-            targets = rho_to_list(np.array([e.target for e in self.entries]))
+            from . import tomography
+
+            rhos = tomography.rho_to_list(np.array([e.rho for e in self.entries]))
+            targets = tomography.rho_to_list(np.array([e.target for e in self.entries]))
             for item, rho, target in zip(doc["entries"], rhos, targets):
                 item.update(rho=rho, target=target)
         return doc
@@ -249,7 +236,9 @@ def tomography_records(prep, noise, rng, qubits=2):
     if isinstance(prep, PhaseConfig):
         settings, counts = tomography_records([prep], noise, None if rng is None else [rng], qubits)
         return settings, [CountRecord.from_counts(s.label, c) for s, c in zip(settings, counts[0])]
-    settings = canonical_settings(qubits)
+    from . import tomography
+
+    settings = tomography.canonical_settings(qubits)
     # preparation phases phi1..phi4 on each row, each setting's analysis angles after them
     phis = np.zeros((len(prep), len(settings), 8))
     phis[..., :4] = np.array([p.phis[:4] for p in prep])[:, None]
@@ -263,8 +252,8 @@ def tomography_records(prep, noise, rng, qubits=2):
 
 def _check_mc_trials(mc_trials):
     # fewer than two resamples give no spread: 0 and 1 both mean no error bars
-    if mc_trials < 0:
-        raise ValueError(f"mc_trials must not be negative, got {mc_trials}")
+    if not 0 <= mc_trials <= MAX_MC_TRIALS:
+        raise ValueError(f"mc_trials must be at least 0 and at most {MAX_MC_TRIALS}, got {mc_trials}")
 
 
 def _tomographs(labels, settings, counts, targets, mc_trials, rngs):
@@ -275,21 +264,23 @@ def _tomographs(labels, settings, counts, targets, mc_trials, rngs):
     mc_trials >= 2 and rngs, one generator per target); a target's resamples
     are one batch, warm-started from its point estimate.
     """
-    points = mle_reconstruct_batch(settings, counts)
-    fidelities = quantum_fidelity(np.array(targets), np.array([point.rho for point in points]))
+    from . import tomography
+
+    points = tomography.mle_reconstruct_batch(settings, counts)
+    fidelities = tomography.quantum_fidelity(np.array(targets), np.array([point.rho for point in points]))
     entries = []
     for k, (label, target, point, fidelity) in enumerate(zip(labels, targets, points, fidelities)):
         failed = [not point.converged]
 
         def resampled_fidelities(resampled):
             start = np.broadcast_to(point.params, (len(resampled), point.params.size))
-            fits = mle_reconstruct_batch(settings, resampled, start=start)
+            fits = tomography.mle_reconstruct_batch(settings, resampled, start=start)
             failed.extend(not fit.converged for fit in fits)
-            return quantum_fidelity(target, np.array([fit.rho for fit in fits]))
+            return tomography.quantum_fidelity(target, np.array([fit.rho for fit in fits]))
 
         error = 0.0
         if mc_trials >= 2 and rngs is not None:
-            error = monte_carlo_error(counts[k], resampled_fidelities, mc_trials, rngs[k])
+            error = tomography.monte_carlo_error(counts[k], resampled_fidelities, mc_trials, rngs[k])
         entries.append(SuiteEntry(label, float(fidelity), float(error), point.rho, target, sum(failed)))
     return entries
 
@@ -545,8 +536,10 @@ def solve_mixed_prep(target):
 
 def reduced_state_of_config(config):
     """Qubit-A reduced density matrix of the gate-model output for |00> input."""
+    from . import tomography
+
     psi = two_qubit_unitary(config)[:, 0]
-    return partial_trace(np.outer(psi, psi.conj()), keep="A")
+    return tomography.partial_trace(np.outer(psi, psi.conj()), keep="A")
 
 
 def _check_target_count(count):
@@ -563,11 +556,13 @@ def mixed_state_suite(targets=None, n=119, noise=NOISELESS, rng=None, mc_trials=
     negative mc_trials is a ValueError.
     """
     _check_mc_trials(mc_trials)
+    from . import tomography
+
     if targets is None:
         if rng is None:
             raise ValueError("sampling targets requires an rng")
         _check_target_count(n)
-        targets = [bloch_of_rho(sample_hs_random(2, rng)) for _ in range(n)]
+        targets = [tomography.bloch_of_rho(tomography.sample_hs_random(2, rng)) for _ in range(n)]
     targets = [np.asarray(t, dtype=float) for t in targets]
     _check_target_count(len(targets))
     children = None if rng is None else rng.spawn(len(targets))
@@ -575,7 +570,8 @@ def mixed_state_suite(targets=None, n=119, noise=NOISELESS, rng=None, mc_trials=
     settings, counts = tomography_records(preps, noise, children, qubits=1)
 
     labels = [f"target-{i}" for i in range(len(targets))]
-    entries = _tomographs(labels, settings, counts, [rho_of_bloch(r) for r in targets], mc_trials, children)
+    rhos = [tomography.rho_of_bloch(r) for r in targets]
+    entries = _tomographs(labels, settings, counts, rhos, mc_trials, children)
     return SuiteReport("mixed-suite", entries)
 
 

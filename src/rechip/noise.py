@@ -20,6 +20,17 @@ SPEED_OF_LIGHT_NM_PER_FS = 299.792458
 DEFAULT_PHASE_SIGMA = 0.05       # rad, typical heater-setting accuracy
 DEFAULT_INDISTINGUISHABILITY = 0.978
 DEFAULT_MEAN_PAIRS = 1e4
+# expected events per setting, accidentals included: below Generator.poisson's largest
+# lam (about 9.2e18), with room for the resamples of counts drawn at this mean
+MAX_MEAN_EVENTS = 1e18
+
+# each field's domain beyond finiteness, in the order NoiseModel checks them: (low, high, text)
+FIELD_DOMAINS = {
+    "indistinguishability": (0.0, 1.0, "must lie in [0, 1]"),
+    "phase_sigma": (0.0, math.inf, "must be non-negative"),
+    "accidental_fraction": (0.0, math.inf, "must be non-negative"),
+    "mean_pairs": (0.0, math.inf, "must be non-negative"),
+}
 
 
 @dataclass(frozen=True)
@@ -37,7 +48,8 @@ class NoiseModel:
     mean_pairs
         Expected total coincidence events per measurement setting.
 
-    Every field must be finite.
+    Every field must be finite and lie in its FIELD_DOMAINS entry, and
+    mean_pairs * (1 + accidental_fraction) must be at most MAX_MEAN_EVENTS.
     """
 
     phase_sigma: float = DEFAULT_PHASE_SIGMA
@@ -49,14 +61,13 @@ class NoiseModel:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if not 0.0 <= self.indistinguishability <= 1.0:
-            raise ValueError("indistinguishability must lie in [0, 1]")
-        if self.phase_sigma < 0.0:
-            raise ValueError("phase_sigma must be non-negative")
-        if self.accidental_fraction < 0.0:
-            raise ValueError("accidental_fraction must be non-negative")
-        if self.mean_pairs < 0.0:
-            raise ValueError("mean_pairs must be non-negative")
+        for name, (low, high, text) in FIELD_DOMAINS.items():
+            if not low <= getattr(self, name) <= high:
+                raise ValueError(f"{name} {text}")
+        events = self.mean_pairs * (1.0 + self.accidental_fraction)
+        if events > MAX_MEAN_EVENTS:
+            raise ValueError(f"mean_pairs * (1 + accidental_fraction) must be at most {MAX_MEAN_EVENTS:g}, "
+                             f"got {events}")
 
     @classmethod
     def noiseless(cls):

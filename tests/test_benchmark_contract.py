@@ -6,15 +6,23 @@ still exits 0, so a rename or a deletion in ``rechip`` must fail here.  A
 target that resolves but that its workload never calls fails the traced
 run, so the first traced blocks of each in-process workload run here too.
 The tracer patches a function wherever a module imports it by name, and the
-call sites below are where the drivers look the timed layers up.
+call sites below are where the drivers look the timed layers up.  The
+tracer patches only modules loaded when it installs, and ``cli_child.py``
+installs it right after ``import rechip.cli``, so that import must load the
+home module of every ``cli-cold`` target.
 """
 
 import importlib
 import importlib.util
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import rechip
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -58,9 +66,25 @@ def test_traced_targets_are_called(workload, tmp_path, monkeypatch):
 
 def test_call_sites_are_patched():
     """Each driver-side call site of a timed layer is one the tracer patches."""
-    importlib.import_module("rechip.cli")  # imports every module of the package
+    for name in ("rechip.experiments", "rechip.tomography"):  # rechip.cli loads neither
+        importlib.import_module(name)
     tracer = _tracing().Tracer()
     tracer.install()
     tracer.uninstall()
     assert [site for site in CALL_SITES if site not in tracer.sites()] == []
     assert "rechip.experiments._minimize" not in tracer.sites()
+
+
+def test_cli_import_loads_every_cli_cold_target():
+    """In a fresh interpreter, a tracer installed right after ``import rechip.cli`` patches every cli-cold target."""
+    expected = [f"{t.module}.{t.attr}" for t in _tracing().TARGETS if "cli-cold" in t.workloads]
+    script = ("import importlib.util, rechip.cli\n"
+              f"spec = importlib.util.spec_from_file_location('perfbench_tracing', {str(TRACING)!r})\n"
+              "tracing = importlib.util.module_from_spec(spec)\nspec.loader.exec_module(tracing)\n"
+              "tracer = tracing.Tracer()\ntracer.install()\ntracer.uninstall()\nprint(*tracer.sites())")
+    # the child imports the same rechip as this test, ahead of any other PYTHONPATH entry
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rechip.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert expected and [site for site in expected if site not in out.stdout.split()] == []

@@ -15,10 +15,14 @@ from rechip.calibration import HeaterCurve, fringe_model, write_fringe_csv
 from rechip.chip import PhaseConfig, default_netlist
 from rechip.experiments import fringe_scan
 import rechip
+from rechip import MAX_HOM_POINTS, MAX_MC_TRIALS
 from rechip.cli import build_parser, main
-from rechip.noise import NoiseModel, write_count_records
+from rechip.noise import MAX_MEAN_EVENTS, NoiseModel, write_count_records
 from rechip.optics import Coupler, Netlist, netlist_to_json
 from rechip.tomography import canonical_settings, simulate_counts
+
+
+ABOVE_MAX_EVENTS = float(np.nextafter(MAX_MEAN_EVENTS, np.inf))  # the first --pairs above the cap
 
 
 def run(argv, capsys):
@@ -173,6 +177,11 @@ class TestArgumentValidation:
             ["mixed-suite", "--n", str(2**63), "--seed", "1"],
             ["hom-dip", "--seed", "1", "--points", "0"],
             ["hom-dip", "--seed", "1", "--points", "-1"],
+            ["hom-dip", "--seed", "1", "--points", str(MAX_HOM_POINTS + 1)],
+            ["bell-suite", "--seed", "2", "--mc-trials", str(MAX_MC_TRIALS + 1)],
+            ["mixed-suite", "--n", "2", "--seed", "2", "--mc-trials", str(MAX_MC_TRIALS + 1)],
+            ["chsh-manifold", "--seed", "3", "--mc-trials", str(MAX_MC_TRIALS + 1)],
+            ["benchmark-random", "--n", "4", "--seed", "1", "--pairs", repr(ABOVE_MAX_EVENTS)],
         ],
         ids=["n-zero", "pairs-negative", "visibility-above-one", "step-zero", "sigma-nan", "pairs-zero",
              "mixed-n-zero", "mc-trials-one", "mc-trials-negative", "mixed-mc-trials-one",
@@ -180,7 +189,9 @@ class TestArgumentValidation:
              "mixed-exact-mc-trials", "step-grid-too-large", "step-inf", "hom-no-zero-delay-point",
              "threshold-nan", "threshold-inf", "threshold-zero", "threshold-negative", "delay-max-nan",
              "delay-max-inf", "delay-max-minus-inf", "delay-max-zero", "delay-max-negative", "delay-max-tiny",
-             "n-above-cap", "n-2-63", "mixed-n-above-cap", "mixed-n-2-63", "points-zero", "points-negative"],
+             "n-above-cap", "n-2-63", "mixed-n-above-cap", "mixed-n-2-63", "points-zero", "points-negative",
+             "points-above-cap", "mc-trials-above-cap", "mixed-mc-trials-above-cap", "manifold-mc-trials-above-cap",
+             "pairs-above-cap"],
     )
     def test_exit_2_with_one_line(self, argv, tmp_path, capsys):
         _assert_exit_2_with_one_line(argv, tmp_path, capsys)
@@ -203,6 +214,30 @@ class TestArgumentValidation:
     def test_points_below_one_names_the_flag(self, points, capsys):
         assert main(["hom-dip", "--seed", "1", "--points", points]) == 2
         _one_error_line(capsys, f"--points must be at least 1, got {points}")
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["--visibility", "2"], "--visibility must lie in [0, 1], got 2.0"),
+            (["--phase-sigma", "-1"], "--phase-sigma must be non-negative, got -1.0"),
+            (["--accidental", "-0.5"], "--accidental must be non-negative, got -0.5"),
+            (["--accidental", "nan"], "--accidental must be finite, got nan"),
+            (["--pairs", "inf"], "--pairs must be finite, got inf"),
+            (["--pairs", repr(ABOVE_MAX_EVENTS)], f"--pairs must be at most 1e+18, got {ABOVE_MAX_EVENTS!r}"),
+            (["--pairs", repr(MAX_MEAN_EVENTS), "--accidental", repr(float(np.finfo(float).eps))],
+             "--pairs * (1 + --accidental) must be at most 1e+18, got "),
+            (["--mc-trials", str(MAX_MC_TRIALS + 1)],
+             f"--mc-trials must be 0 (no error bars) or 2 to {MAX_MC_TRIALS}, got {MAX_MC_TRIALS + 1}"),
+            (["--points", str(MAX_HOM_POINTS + 1)],
+             f"--points must be at most {MAX_HOM_POINTS}, got {MAX_HOM_POINTS + 1}"),
+        ],
+        ids=["visibility", "phase-sigma", "accidental", "accidental-nan", "pairs-inf", "pairs-above-cap",
+             "pairs-with-accidentals-above-cap", "mc-trials-above-cap", "points-above-cap"],
+    )
+    def test_diagnostic_names_the_flag_and_value(self, argv, text, capsys):
+        command = "hom-dip" if argv[0] == "--points" else "bell-suite"
+        assert main([command, "--seed", "1", *argv]) == 2
+        _one_error_line(capsys, f"error: {command}: {text}")
 
     def test_huge_delay_max_scans_without_warnings(self, tmp_path, capsys):
         # the dip term is clipped where it is already 0, so delays of 1e300 fs cannot overflow
@@ -232,14 +267,15 @@ def _number_options():
             if a.option_strings and a.type in (int, float)]
 
 
-FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "-0.0", "abc", "1.5")
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "-0.0", "abc", "1.5", str(10**30), str(2**63))
 
 
 @given(option=st.sampled_from(_number_options()), value=st.sampled_from(FUZZ_VALUES))
 def test_fuzzed_number_option(option, value):
     """Any number option at an awkward value exits 0, 1 or 2 with no traceback, at most one stderr
     line on failure, and strict JSON on stdout.  No such value asks for a run above its default size:
-    --n and --points parse only 0 and -1, and a --step this small is rejected."""
+    --n, --points and --mc-trials parse only 0, -1 and the huge integers, which their caps reject,
+    --pairs and --accidental above their cap are rejected, and a --step this small is rejected."""
     command, flag, samples = option
     argv = [command, *([os.devnull] if command == "tomo" else []), f"{flag}={value}"]
     if samples and flag != "--seed":
@@ -289,6 +325,17 @@ SMALL_RUNS = {
     "hom-dip": ["--seed", "5", "--points", "11"],
     "fringe-fit": ["fringe.csv"],
     "tomo": ["counts.csv"],
+}
+
+
+# rechip modules that every command loads, and those each command loads besides
+SHARED_MODULES = ["rechip", "rechip.calibration", "rechip.chip", "rechip.cli", "rechip.csvio", "rechip.kernels",
+                  "rechip.noise", "rechip.numerics", "rechip.optics"]
+DRIVER_MODULES = {
+    "--version": [], "verify-chip": [], "fringe-fit": [],
+    "tomo": ["rechip.tomography"],
+    "hom-dip": ["rechip.experiments"], "chsh-manifold": ["rechip.experiments"],
+    **dict.fromkeys(["benchmark-random", "bell-suite", "mixed-suite"], ["rechip.experiments", "rechip.tomography"]),
 }
 
 
@@ -359,6 +406,7 @@ class TestFreshProcess:
 
     @pytest.mark.parametrize("command", ["--version", *sorted(SMALL_RUNS)])
     def test_no_command_imports_scipy(self, command, tmp_path):
+        """No command imports scipy, and each loads the rechip modules that all share plus the drivers it runs."""
         if command == "--version":
             argv = ["--version"]
         else:
@@ -370,10 +418,12 @@ class TestFreshProcess:
             write_fringe_csv(tmp_path / "fringe.csv", scan.samples(0))
         script = ("import sys\nfrom rechip.cli import main\n"
                   f"try:\n    code = main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
-                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\nsys.exit(code)")
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'rechip'))\nsys.exit(code)")
         out = self._run_python("-c", script)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "[]"
+        assert out.stdout.splitlines()[-2] == "[]"
+        assert out.stdout.splitlines()[-1] == repr(sorted(SHARED_MODULES + DRIVER_MODULES[command]))
 
 
 class TestBenchmarkCommand:

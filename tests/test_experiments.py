@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rechip import numerics
+from rechip import MAX_MC_TRIALS, numerics
 from rechip.calibration import HeaterCurve, fit_fringe
 from rechip.chip import BASIS_LABELS, PhaseConfig, coincidence_probs, two_qubit_unitary
 from rechip.cli import main
@@ -116,6 +116,19 @@ class TestBellSuite:
             assert 0.8 < entry.fidelity <= 1.0
             assert entry.error >= 0.0
         assert report.to_dict()["fits_not_converged"] == 0
+
+    @pytest.mark.parametrize("run", [
+        lambda rng, trials: bell_state_suite(rng=rng, mc_trials=trials),
+        lambda rng, trials: mixed_state_suite(n=2, rng=rng, mc_trials=trials),
+        lambda rng, trials: chsh_manifold(rng=rng, mc_trials=trials),
+        lambda rng, trials: chsh_sum(0.0, 0.0, rng=rng, mc_trials=trials),
+    ], ids=["bell-suite", "mixed-suite", "chsh-manifold", "chsh-sum"])
+    def test_mc_trials_capped_before_any_work(self, run):
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"at most {MAX_MC_TRIALS}, got {MAX_MC_TRIALS + 1}"):
+            run(rng, MAX_MC_TRIALS + 1)
+        assert rng.bit_generator.state == state
 
     def test_mc_trials_validated(self):
         with pytest.raises(ValueError, match="mc_trials"):

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from rechip.chip import CoincidenceProbs
 from rechip.noise import (
+    MAX_MEAN_EVENTS,
     CountRecord,
     NoiseModel,
     SpectralModel,
@@ -42,6 +43,24 @@ class TestNoiseModel:
     def test_negative_pairs_rejected(self):
         with pytest.raises(ValueError, match="mean_pairs"):
             NoiseModel(mean_pairs=-5.0)
+
+    @pytest.mark.parametrize("pairs, accidental", [(float(np.nextafter(MAX_MEAN_EVENTS, np.inf)), 0.0),
+                                                   (MAX_MEAN_EVENTS, float(np.finfo(float).eps))],
+                             ids=["pairs", "accidentals"])
+    def test_expected_events_capped(self, pairs, accidental):
+        with pytest.raises(ValueError, match=r"mean_pairs \* \(1 \+ accidental_fraction\) must be at most 1e\+18"):
+            NoiseModel(mean_pairs=pairs, accidental_fraction=accidental)
+
+    def test_counts_at_the_cap_and_their_resamples_are_drawable(self):
+        """Every outcome's lam is at most mean_pairs * (1 + accidental_fraction), and Generator.poisson
+        draws it and resamples of the counts it gives."""
+        rng = np.random.default_rng(3)
+        for model in (NoiseModel(mean_pairs=MAX_MEAN_EVENTS),
+                      NoiseModel(accidental_fraction=1.0, mean_pairs=MAX_MEAN_EVENTS / 2)):
+            lam = expected_counts(np.array([[1.0, 0.0], [0.5, 0.5]]), model)
+            assert lam.max() <= MAX_MEAN_EVENTS
+            counts = rng.poisson(lam)
+            assert rng.poisson(counts, (4, 2, 2)).shape == (4, 2, 2)
 
 
 class TestPhaseNoise:
